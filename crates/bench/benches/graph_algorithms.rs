@@ -1,46 +1,37 @@
-//! Scaling of the graph substrate: Dijkstra, the exact constrained
-//! shortest path, and Yen's k-shortest paths on layered DAGs shaped like
-//! the planner's.
+//! Scaling of the graph substrate: Dijkstra and the exact constrained
+//! shortest path over the planner's CSR edge store (unpruned full-space
+//! DAGs of synthetic jobs).
 
+use astra_bench::{binding_budget, full_space, planner, synthetic_job};
+use astra_core::{Objective, PlannerDag, PruneConfig, Strategy};
 use astra_graph::csp::constrained_shortest_path;
-use astra_graph::dijkstra::shortest_path_all;
-use astra_graph::yen::KShortestPaths;
-use astra_graph::{DiGraph, NodeId};
+use astra_graph::dijkstra::shortest_path;
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
-/// A layered DAG with `layers` columns of `width` nodes, fully connected
-/// layer to layer, carrying (time, cost) pairs.
-fn layered(width: usize, layers: usize, seed: u64) -> (DiGraph<(), (f64, f64)>, NodeId, NodeId) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = DiGraph::new();
-    let s = g.add_node(());
-    let mut prev = vec![s];
-    for _ in 0..layers {
-        let layer: Vec<NodeId> = (0..width).map(|_| g.add_node(())).collect();
-        for &u in &prev {
-            for &v in &layer {
-                g.add_edge(u, v, (rng.random_range(0.1..10.0), rng.random_range(0.1..10.0)));
-            }
-        }
-        prev = layer;
-    }
-    let t = g.add_node(());
-    for &u in &prev {
-        g.add_edge(u, t, (0.0, 0.0));
-    }
-    (g, s, t)
+/// The unpruned DAG of an `n`-object job and its binding budget in the
+/// solvers' working unit (micro-dollars).
+fn fixture(n: usize) -> (PlannerDag, f64) {
+    let astra = planner(Strategy::ExactCsp);
+    let job = synthetic_job(n);
+    let space = full_space(&astra, &job);
+    let (platform, catalog) = (astra.platform(), astra.catalog());
+    let dag = PlannerDag::build_with(&job, platform, catalog, &space, PruneConfig::off());
+    let Objective::MinimizeTime { budget } = binding_budget(&astra, &job) else {
+        unreachable!("binding budgets are budgets")
+    };
+    (dag, budget.nanos() as f64 * 1e-3)
 }
 
 fn bench_dijkstra(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dijkstra_layered");
-    for width in [16usize, 46, 128] {
-        let (g, s, t) = layered(width, 5, 1);
-        group.bench_function(format!("width={width}"), |b| {
+    let mut group = c.benchmark_group("dijkstra_planner_store");
+    for n in [10usize, 50, 202] {
+        let (dag, _) = fixture(n);
+        let zero = vec![0.0; dag.graph().node_count()];
+        group.bench_function(format!("N={n}"), |b| {
             b.iter(|| {
-                shortest_path_all(black_box(&g), s, t, |_, e| e.0)
+                let mut view = dag.graph().time_view();
+                shortest_path(black_box(&mut view), dag.source(), dag.sink(), |_| true, &zero)
                     .unwrap()
                     .weight
             })
@@ -51,14 +42,12 @@ fn bench_dijkstra(c: &mut Criterion) {
 
 fn bench_csp(c: &mut Criterion) {
     let mut group = c.benchmark_group("constrained_shortest_path");
-    for width in [16usize, 46, 128] {
-        let (g, s, t) = layered(width, 5, 2);
-        // A mid-tightness bound: roughly half the unconstrained optimum's
-        // resource use times the layer count.
-        let bound = 5.0 * 5.0;
-        group.bench_function(format!("width={width}"), |b| {
+    for n in [10usize, 50, 202] {
+        let (dag, bound) = fixture(n);
+        group.bench_function(format!("N={n}"), |b| {
             b.iter(|| {
-                constrained_shortest_path(black_box(&g), s, t, bound, |_, e| e.0, |_, e| e.1)
+                let mut view = dag.graph().time_view();
+                constrained_shortest_path(black_box(&mut view), dag.source(), dag.sink(), bound)
                     .map(|sol| sol.weight)
             })
         });
@@ -66,21 +55,5 @@ fn bench_csp(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_yen(c: &mut Criterion) {
-    let mut group = c.benchmark_group("yen_k_shortest_k=25");
-    for width in [8usize, 16, 32] {
-        let (g, s, t) = layered(width, 4, 3);
-        group.bench_function(format!("width={width}"), |b| {
-            b.iter(|| {
-                KShortestPaths::new(black_box(&g), s, t, |_, e| e.0)
-                    .take(25)
-                    .map(|p| p.weight)
-                    .sum::<f64>()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_dijkstra, bench_csp, bench_yen);
+criterion_group!(benches, bench_dijkstra, bench_csp);
 criterion_main!(benches);

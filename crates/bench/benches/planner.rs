@@ -59,11 +59,13 @@ fn bench_dag_scaling(c: &mut Criterion) {
         group.bench_function(format!("N={n}"), |b| {
             b.iter(|| {
                 let dag = astra.build_dag(&job, &space);
-                astra_graph::dijkstra::shortest_path_all(
-                    dag.graph(),
+                let zero = vec![0.0; dag.graph().node_count()];
+                astra_graph::dijkstra::shortest_path(
+                    &mut dag.graph().time_view(),
                     dag.source(),
                     dag.sink(),
-                    |_, m| m.time_s,
+                    |_| true,
+                    &zero,
                 )
                 .unwrap()
                 .weight

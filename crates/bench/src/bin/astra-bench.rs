@@ -32,13 +32,25 @@
 
 use astra_bench::runner::{run_cli, time_ms, BenchArgs};
 use astra_bench::{binding_budget, full_space, planner, production_job, synthetic_job};
-use astra_core::solver::{solve_exhaustive, solve_exhaustive_serial, solve_on_dag};
+use astra_core::solver::{
+    solve_exhaustive, solve_exhaustive_serial, solve_on_dag, solve_reference_csp,
+};
 use astra_core::{ConfigSpace, Objective, PlannerDag, PlannerPotentials, PruneConfig, Strategy};
 use serde_json::{json, Value};
 
 /// Bounds answered by every session-sweep cycle (the acceptance target
 /// compares one reused session against this many cold build+solve runs).
 const SWEEP_BOUNDS: usize = 16;
+
+/// Run `f` with the rayon pool pinned to one thread, then restore the
+/// thread count in effect before.
+fn on_one_thread<T>(f: impl FnOnce() -> T) -> T {
+    let threads = rayon::current_num_threads();
+    let _ = rayon::ThreadPoolBuilder::new().num_threads(1).build_global();
+    let out = f();
+    let _ = rayon::ThreadPoolBuilder::new().num_threads(threads).build_global();
+    out
+}
 
 fn run_suite(args: &BenchArgs) -> Value {
     let astra = planner(Strategy::ExactCsp);
@@ -68,42 +80,21 @@ fn run_suite(args: &BenchArgs) -> Value {
 
         // Historical entries: the full (unpruned) Fig. 5 DAG and the
         // plain lexicographic label search, exactly as every committed
-        // baseline measured them.
-        let (serial_mean, serial_min) = time_ms(args.samples, || {
-            PlannerDag::build_serial_with(
-                &job,
-                astra.platform(),
-                astra.catalog(),
-                &space,
-                PruneConfig::off(),
-            )
-        });
-        push(
-            &mut results,
-            format!("dag_build_serial/N{n}"),
-            n,
-            tiers,
-            serial_mean,
-            serial_min,
-        );
-
-        let (par_mean, par_min) = time_ms(args.samples, || {
-            PlannerDag::build_with(
-                &job,
-                astra.platform(),
-                astra.catalog(),
-                &space,
-                PruneConfig::off(),
-            )
-        });
-        push(
-            &mut results,
-            format!("dag_build_parallel/N{n}"),
-            n,
-            tiers,
-            par_mean,
-            par_min,
-        );
+        // baseline measured them. The serial build is the parallel build
+        // on a one-thread pool.
+        let mut build_min = [0.0; 2];
+        for (i, kind) in ["serial", "parallel"].into_iter().enumerate() {
+            let build = || {
+                time_ms(args.samples, || {
+                    let (platform, catalog) = (astra.platform(), astra.catalog());
+                    PlannerDag::build_with(&job, platform, catalog, &space, PruneConfig::off())
+                })
+            };
+            let (mean, min) = if i == 0 { on_one_thread(build) } else { build() };
+            push(&mut results, format!("dag_build_{kind}/N{n}"), n, tiers, mean, min);
+            build_min[i] = min;
+        }
+        let [serial_min, par_min] = build_min;
         speedups.push(json!({
             "name": format!("dag_build/N{n}"),
             "serial_ms": serial_min,
@@ -133,9 +124,8 @@ fn run_suite(args: &BenchArgs) -> Value {
             PruneConfig::off(),
         );
         let objective = binding_budget(&astra, &job);
-        let (csp_mean, csp_min) = time_ms(args.samples, || {
-            solve_on_dag(&full_dag, objective, Strategy::ExactCsp)
-        });
+        let (csp_mean, csp_min) =
+            time_ms(args.samples, || solve_reference_csp(&full_dag, objective));
         push(
             &mut results,
             format!("solve_exact_csp/N{n}"),
@@ -152,7 +142,7 @@ fn run_suite(args: &BenchArgs) -> Value {
         let potentials = PlannerPotentials::compute(&pruned_dag);
         let tel = astra_telemetry::Telemetry::disabled();
         let (pot_mean, pot_min) = time_ms(args.samples, || {
-            astra_core::solve_on_dag_with_potentials(
+            solve_on_dag(
                 &pruned_dag,
                 &potentials,
                 objective,
@@ -384,7 +374,7 @@ fn run_suite(args: &BenchArgs) -> Value {
         // constrained solve always pays for its own lower bounds.
         let (cs_mean, cs_min) = time_ms(samples, || {
             let potentials = PlannerPotentials::compute(&dag);
-            astra_core::solve_on_dag_with_potentials(
+            solve_on_dag(
                 &dag,
                 &potentials,
                 objective,

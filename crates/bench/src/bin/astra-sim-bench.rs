@@ -334,7 +334,7 @@ fn run_suite(args: &BenchArgs) -> Value {
                     .with_journal_path(&journal)
                     .with_telemetry(astra_telemetry::Telemetry::disabled()),
             );
-            let recovered = daemon.handle().jobs().len();
+            let recovered = daemon.handle().job_count();
             assert_eq!(recovered as u64, RECOVERY_JOBS, "journal replay lost jobs");
             recovered
         });

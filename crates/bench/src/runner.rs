@@ -102,6 +102,10 @@ pub fn time_ms<O>(samples: usize, mut f: impl FnMut() -> O) -> (f64, f64) {
 /// Compare `current` against `baseline` on `min_ms` per shared bench
 /// name; returns the regressions found.
 ///
+/// A baseline row whose `n` is a size the current run covered must
+/// appear in the run: a missing row is a regression too, so deleting or
+/// renaming timed code cannot drop its gate silently.
+///
 /// Entries stamped with a `threads` field (the parallel-sweep benches)
 /// are compared only when both sides ran at the same worker count — a
 /// baseline recorded on an 8-core box says nothing about a 1-thread CI
@@ -116,7 +120,17 @@ pub fn regressions(current: &Value, baseline: &Value, tolerance: f64) -> Vec<Str
         .filter_map(|r| Some((r["name"].as_str()?, r)))
         .collect();
     let mut out = Vec::new();
-    for r in current["results"].as_array().unwrap_or(&empty) {
+    let current_rows = current["results"].as_array().unwrap_or(&empty);
+    let covered = |n: &Value| current_rows.iter().any(|r| &r["n"] == n);
+    for &(name, b) in &base {
+        let vanished = !matches!(b["n"], Value::Null)
+            && covered(&b["n"])
+            && !current_rows.iter().any(|r| r["name"] == name);
+        if vanished {
+            out.push(format!("{name}: missing from this run (baseline covers n={})", b["n"]));
+        }
+    }
+    for r in current_rows {
         let (Some(name), Some(min)) = (r["name"].as_str(), r["min_ms"].as_f64()) else {
             continue;
         };
@@ -246,6 +260,23 @@ mod tests {
     #[test]
     fn unshared_names_are_ignored() {
         assert!(regressions(&report("new", 99.0), &report("old", 1.0), 0.20).is_empty());
+    }
+
+    #[test]
+    fn a_vanished_row_at_a_covered_size_fails() {
+        let base = json!({"results": [
+            {"name": "kept/N10", "n": 10, "min_ms": 1.0},
+            {"name": "gone/N10", "n": 10, "min_ms": 1.0},
+            {"name": "big/N202", "n": 202, "min_ms": 1.0}
+        ]});
+        let cur = json!({"results": [
+            {"name": "kept/N10", "n": 10, "min_ms": 1.0},
+            {"name": "new/N10", "n": 10, "min_ms": 1.0}
+        ]});
+        // N=202 was not run, so its row is not expected; `gone/N10` was.
+        let bad = regressions(&cur, &base, 0.20);
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].starts_with("gone/N10: missing"));
     }
 
     #[test]

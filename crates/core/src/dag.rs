@@ -70,17 +70,22 @@
 //! analytical model once per `(k_M, tier)` for the mapper edges and once
 //! per `(k_M, k_R, tier)` for the reduce edges. [`PlannerDag::build`]
 //! evaluates those edge metrics in parallel (rayon) as side-effect-free
-//! *recipes*, then assembles the graph serially from the collected
+//! *recipes*, then assembles the store serially from the collected
 //! recipes in a fixed order — `k_M` in `space.k_m_values` order, `k_R`
 //! in candidate order, tiers in `space.memory_tiers_mb` order — so node
-//! and edge IDs are identical for every thread count and identical to
-//! [`PlannerDag::build_serial`], which runs the same recipe functions on
-//! one thread (equivalence tests assert graph-level bit-identity).
-
-use std::collections::HashMap;
+//! ids and edge slots are identical for every thread count; a one-thread
+//! rayon pool is the serial build (equivalence tests assert store-level
+//! bit-identity across pool sizes).
+//!
+//! ## The edge store
+//!
+//! A [`PlannerDag`] is a `Vec<Choice>` (one per node) plus one flat CSR
+//! edge store, [`SoaEdges`]; every solver reads that store through
+//! [`EdgeExpand`], and incremental re-planning overwrites its slots in
+//! place. An edge's id is its slot index.
 
 use astra_graph::csp::EdgeExpand;
-use astra_graph::{DiGraph, EdgeId, NodeId};
+use astra_graph::EdgeId;
 use astra_model::cost::{
     coordinator_storage_cost, mapper_edge_cost, orchestration_requests_cost, reduce_edge_cost,
     runtime_cost,
@@ -126,7 +131,7 @@ pub enum Choice {
 }
 
 /// Both path metrics of one edge. Cost is stored as `i64` nano-dollars to
-/// keep the edge arena compact (a whole job bill fits with 9 decimal
+/// keep the edge store compact (a whole job bill fits with 9 decimal
 /// digits of headroom).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeMetrics {
@@ -136,14 +141,7 @@ pub struct EdgeMetrics {
     pub cost_nanos: i64,
 }
 
-impl EdgeMetrics {
-    /// Cost as [`Money`].
-    pub fn cost(&self) -> Money {
-        Money::from_nanos(self.cost_nanos as i128)
-    }
-}
-
-fn metrics(time_s: f64, cost: Money) -> EdgeMetrics {
+pub(crate) fn metrics(time_s: f64, cost: Money) -> EdgeMetrics {
     let nanos = cost.nanos();
     debug_assert!(nanos >= 0 && nanos <= i64::MAX as i128, "cost out of range");
     EdgeMetrics {
@@ -211,27 +209,24 @@ impl PruneStats {
     }
 }
 
-/// The built planner DAG for one job.
+/// The built planner DAG for one job: the node choices plus the one
+/// edge store (module docs, "The edge store").
 #[derive(Clone)]
 pub struct PlannerDag {
-    graph: DiGraph<Choice, EdgeMetrics>,
-    source: NodeId,
-    sink: NodeId,
+    choices: Vec<Choice>,
+    edges: SoaEdges,
     prune_stats: PruneStats,
-    soa: SoaEdges,
 }
 
-/// Flat struct-of-arrays mirror of the planner graph's edges in CSR
-/// form: per-node slot ranges (`offsets`), and parallel `heads`,
-/// `edge_ids`, `times`, `costs` and `multiplicity` arrays the solvers
-/// iterate linearly instead of chasing the arena's intrusive lists.
+/// Flat struct-of-arrays edge store in CSR form: per-node slot ranges
+/// (`offsets`), and parallel `heads`, `times`, `costs` and
+/// `multiplicity` arrays the solvers iterate linearly. An edge's id is
+/// its slot index.
 ///
-/// Slot order within a node is **exactly** `DiGraph::out_edges` order
-/// (most-recently-added first), and the stored topological order is the
-/// graph's own, so the potentials DP and the CSP label search perform
-/// the identical floating-point operations in the identical order as
-/// the closure-over-`DiGraph` path — answers are bit-identical
-/// (`tests/prune_equivalence.rs` gates this).
+/// Within a tail node the most recently assembled edge comes first, and
+/// `topo` is the stack-based Kahn order over that slot order. Every
+/// exact tie in the solvers is broken by expansion order, so this order
+/// is part of the answer contract (`tests/planner_golden.rs` pins it).
 ///
 /// `multiplicity[i]` records how many raw configuration-space candidates
 /// edge `i` represents when the space was built by
@@ -242,7 +237,6 @@ pub struct PlannerDag {
 pub struct SoaEdges {
     offsets: Vec<u32>,
     heads: Vec<u32>,
-    edge_ids: Vec<u32>,
     times: Vec<f64>,
     costs: Vec<i64>,
     multiplicity: Vec<u32>,
@@ -250,83 +244,83 @@ pub struct SoaEdges {
 }
 
 impl SoaEdges {
-    fn build(
-        g: &DiGraph<Choice, EdgeMetrics>,
-        space: &ConfigSpace,
-        j_of_k_m: &HashMap<usize, usize>,
-    ) -> SoaEdges {
-        let (n, e) = (g.node_count(), g.edge_count());
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut heads = Vec::with_capacity(e);
-        let mut edge_ids = Vec::with_capacity(e);
-        let mut times = Vec::with_capacity(e);
-        let mut costs = Vec::with_capacity(e);
-        let mut multiplicity = Vec::with_capacity(e);
-        offsets.push(0);
-        for u in g.node_ids() {
-            for (eid, m) in g.out_edges(u) {
-                let head = g.endpoints(eid).1;
-                heads.push(head.0);
-                edge_ids.push(eid.0);
-                times.push(m.time_s);
-                costs.push(m.cost_nanos);
-                multiplicity.push(match *g.node(head) {
-                    Choice::ObjectsPerMapper(k_m) => space.k_m_weight(k_m) as u32,
-                    Choice::ObjectsPerReducer { k_m, k_r } => j_of_k_m
-                        .get(&k_m)
-                        .map_or(1, |&j| space.k_r_weight(j, k_r) as u32),
-                    _ => 1,
-                });
-            }
-            offsets.push(heads.len() as u32);
-        }
-        let topo = g
-            .topological_order()
-            .expect("planner graph is acyclic by construction")
-            .into_iter()
-            .map(|id| id.0)
-            .collect();
+    /// An empty store with the given per-node out-degrees (slots zeroed).
+    fn with_degrees(degrees: &[u32]) -> SoaEdges {
+        let mut offsets = vec![0u32];
+        offsets.extend(degrees.iter().scan(0, |total, &d| {
+            *total += d;
+            Some(*total)
+        }));
+        let e = offsets[degrees.len()] as usize;
         SoaEdges {
             offsets,
-            heads,
-            edge_ids,
-            times,
-            costs,
-            multiplicity,
-            topo,
+            heads: vec![0; e],
+            times: vec![0.0; e],
+            costs: vec![0; e],
+            multiplicity: vec![1; e],
+            topo: Vec::new(),
         }
     }
 
-    /// Re-copy `times`/`costs` from the graph's edge payloads after an
-    /// in-place recost. Topology (`offsets`/`heads`/`edge_ids`/
-    /// `multiplicity`/`topo`) is untouched — callers guarantee the
-    /// graph's shape did not change.
-    fn refresh_metrics(&mut self, g: &DiGraph<Choice, EdgeMetrics>) {
-        for i in 0..self.edge_ids.len() {
-            let m = g.edge(EdgeId(self.edge_ids[i]));
-            self.times[i] = m.time_s;
-            self.costs[i] = m.cost_nanos;
+    /// The stack-based Kahn order: roots in id order, each popped node's
+    /// heads released in slot order.
+    fn kahn_order(&self) -> Vec<u32> {
+        let n = self.node_count();
+        let mut in_deg = vec![0u32; n];
+        for &h in &self.heads {
+            in_deg[h as usize] += 1;
         }
-    }
-
-    /// Like [`SoaEdges::refresh_metrics`], but re-copies only the
-    /// out-edges of the marked tail nodes — the store is grouped by
-    /// tail, so a recost that tracked its dirty tails pays for the
-    /// affected slices instead of the whole edge array.
-    fn refresh_metrics_on(&mut self, g: &DiGraph<Choice, EdgeMetrics>, tails: &[bool]) {
-        debug_assert_eq!(tails.len() + 1, self.offsets.len());
-        for u in tails.iter().enumerate().filter(|&(_, &d)| d).map(|(u, _)| u) {
-            for i in self.offsets[u] as usize..self.offsets[u + 1] as usize {
-                let m = g.edge(EdgeId(self.edge_ids[i]));
-                self.times[i] = m.time_s;
-                self.costs[i] = m.cost_nanos;
+        let mut stack: Vec<u32> = (0..n as u32).filter(|&v| in_deg[v as usize] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(u) = stack.pop() {
+            order.push(u);
+            for &h in &self.heads[self.slots(u)] {
+                in_deg[h as usize] -= 1;
+                if in_deg[h as usize] == 0 {
+                    stack.push(h);
+                }
             }
         }
+        assert_eq!(order.len(), n, "planner graph is acyclic by construction");
+        order
     }
 
-    /// Number of edges in the flat store.
-    pub fn edges_stored(&self) -> usize {
-        self.times.len()
+    fn slots(&self, v: u32) -> std::ops::Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of edges (slots).
+    pub fn edge_count(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Out-edges of `v` in slot order.
+    pub(crate) fn out_edges(&self, v: u32) -> impl Iterator<Item = EdgeId> {
+        self.slots(v).map(|i| EdgeId(i as u32))
+    }
+
+    /// Head node of edge `e`.
+    pub(crate) fn head(&self, e: EdgeId) -> u32 {
+        self.heads[e.0 as usize]
+    }
+
+    /// Both metrics of edge `e`.
+    pub(crate) fn metrics(&self, e: EdgeId) -> EdgeMetrics {
+        EdgeMetrics {
+            time_s: self.times[e.0 as usize],
+            cost_nanos: self.costs[e.0 as usize],
+        }
+    }
+
+    /// Overwrite edge `e`'s metrics in place (topology is untouched).
+    pub(crate) fn overwrite(&mut self, e: EdgeId, m: EdgeMetrics) {
+        self.times[e.0 as usize] = m.time_s;
+        self.costs[e.0 as usize] = m.cost_nanos;
     }
 
     /// Raw configuration candidates folded into representative edges
@@ -348,28 +342,37 @@ impl SoaEdges {
     }
 }
 
+/// Equality is bit-identity of every array: offsets, heads, time bits,
+/// costs, multiplicities and the topological order.
+impl PartialEq for SoaEdges {
+    fn eq(&self, other: &SoaEdges) -> bool {
+        self.offsets == other.offsets
+            && self.heads == other.heads
+            && self.times.iter().map(|t| t.to_bits()).eq(other.times.iter().map(|t| t.to_bits()))
+            && self.costs == other.costs
+            && self.multiplicity == other.multiplicity
+            && self.topo == other.topo
+    }
+}
+
 /// Linear-scan [`EdgeExpand`] adapter over [`SoaEdges`]. The const
 /// parameter selects the weight/resource orientation; cost is converted
-/// to micro-dollars by the same `cost_nanos as f64 * 1e-3` expression
-/// the closure-based solver path uses, so both paths feed the CSP core
-/// bit-identical operands.
+/// to micro-dollars as `cost_nanos as f64 * 1e-3`.
 pub struct SoaView<'a, const COST_PRIMARY: bool> {
     soa: &'a SoaEdges,
 }
 
 impl<const COST_PRIMARY: bool> EdgeExpand for SoaView<'_, COST_PRIMARY> {
     fn node_count(&self) -> usize {
-        self.soa.offsets.len() - 1
+        self.soa.node_count()
     }
 
     fn for_each_out(&mut self, v: u32, mut f: impl FnMut(EdgeId, u32, f64, f64)) {
-        let lo = self.soa.offsets[v as usize] as usize;
-        let hi = self.soa.offsets[v as usize + 1] as usize;
-        for i in lo..hi {
+        for i in self.soa.slots(v) {
             let t = self.soa.times[i];
             let c = self.soa.costs[i] as f64 * 1e-3;
             let (w, r) = if COST_PRIMARY { (c, t) } else { (t, c) };
-            f(EdgeId(self.soa.edge_ids[i]), self.soa.heads[i], w, r);
+            f(EdgeId(i as u32), self.soa.heads[i], w, r);
         }
     }
 
@@ -717,8 +720,7 @@ impl PlannerDag {
     ///
     /// Edge metrics for columns 2–4 are evaluated in parallel over the
     /// `(k_M, k_R, tier)` choices; assembly is serial and ordered, so the
-    /// resulting graph is bit-identical to [`PlannerDag::build_serial`]
-    /// for every thread count.
+    /// resulting store is bit-identical for every thread count.
     pub fn build(
         job: &JobSpec,
         platform: &Platform,
@@ -755,49 +757,11 @@ impl PlannerDag {
         // they are observational only and do not touch the build itself.
         let tel = astra_telemetry::global();
         let build_span = tel.wall_span("planner", "dag.build", "planner");
-        let (job, platform) = (cache.job(), cache.platform());
-        job.profile.validate();
-        let coord_compute = coord_compute_per_tier(job, platform, space);
-
-        // Pass 1: mapper edges, parallel over k_M (order-preserving).
-        let col2: Vec<Col2Recipe> = {
-            let mut span = tel.wall_span("planner", "dag.col2", "planner");
-            span.set_parent(build_span.id());
-            space
-                .k_m_values
-                .par_iter()
-                .filter_map(|&k_m| col2_recipe(platform, catalog, space, cache, prune, k_m))
-                .collect()
-        };
-
-        // Pass 2: reduce edges, parallel over the surviving (k_M, k_R)
-        // pairs. Work items are indexed by their column-2 recipe so the
-        // results can be regrouped in order.
-        let col3_flat: Vec<Option<(usize, Col3Recipe)>> = {
-            let mut span = tel.wall_span("planner", "dag.col3", "planner");
-            span.set_parent(build_span.id());
-            let work: Vec<(usize, usize, usize)> = col2
-                .iter()
-                .enumerate()
-                .flat_map(|(ci, r)| {
-                    space
-                        .k_r_candidates(r.j)
-                        .into_iter()
-                        .map(move |k_r| (ci, r.k_m, k_r))
-                })
-                .collect();
-            work.par_iter()
-                .map(|&(ci, k_m, k_r)| {
-                    col3_recipe(platform, catalog, space, cache, &coord_compute, prune, k_m, k_r)
-                        .map(|r| (ci, r))
-                })
-                .collect()
-        };
-
+        let (col2, col3_flat) = recipes(catalog, space, cache, prune, &tel, build_span.id());
         let dag = {
             let mut span = tel.wall_span("planner", "dag.assemble", "planner");
             span.set_parent(build_span.id());
-            assemble(space, col2, col3_flat)
+            assemble(space, &col2, &col3_flat)
         };
         if tel.enabled() {
             tel.gauge("planner.dag.nodes", dag.graph().node_count() as f64);
@@ -809,98 +773,43 @@ impl PlannerDag {
                 stats.coordinator_nodes as f64,
             );
             tel.gauge("planner.dag.pruned_reducer_edges", stats.reducer_edges as f64);
-            tel.gauge("planner.dag.edges_stored", dag.soa().edges_stored() as f64);
             tel.gauge(
                 "planner.dag.bundles_collapsed",
-                dag.soa().bundles_collapsed() as f64,
+                dag.graph().bundles_collapsed() as f64,
             );
         }
         dag
     }
 
-    /// Single-threaded reference construction: runs the same recipe
-    /// functions as [`PlannerDag::build`] on plain iterators and feeds
-    /// the identical assembly, so the two are bit-identical by
-    /// construction (and a test asserts it stays that way).
-    pub fn build_serial(
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-    ) -> PlannerDag {
-        Self::build_serial_with(job, platform, catalog, space, PruneConfig::default())
+    /// The edge store.
+    pub fn graph(&self) -> &SoaEdges {
+        &self.edges
     }
 
-    /// [`PlannerDag::build_serial`] with explicit [`PruneConfig`].
-    pub fn build_serial_with(
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-        prune: PruneConfig,
-    ) -> PlannerDag {
-        job.profile.validate();
-        let cache = ModelCache::new(job, platform);
-        let coord_compute = coord_compute_per_tier(job, platform, space);
-
-        let col2: Vec<Col2Recipe> = space
-            .k_m_values
-            .iter()
-            .filter_map(|&k_m| col2_recipe(platform, catalog, space, &cache, prune, k_m))
-            .collect();
-        let col3_flat: Vec<Option<(usize, Col3Recipe)>> = col2
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, r)| {
-                space
-                    .k_r_candidates(r.j)
-                    .into_iter()
-                    .map(move |k_r| (ci, r.k_m, k_r))
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|(ci, k_m, k_r)| {
-                col3_recipe(
-                    platform,
-                    catalog,
-                    space,
-                    &cache,
-                    &coord_compute,
-                    prune,
-                    k_m,
-                    k_r,
-                )
-                .map(|r| (ci, r))
-            })
-            .collect();
-
-        assemble(space, col2, col3_flat)
+    /// Mutable edge store, for in-place recosts.
+    pub(crate) fn graph_mut(&mut self) -> &mut SoaEdges {
+        &mut self.edges
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &DiGraph<Choice, EdgeMetrics> {
-        &self.graph
+    /// What each node decides, indexed by node id.
+    pub fn choices(&self) -> &[Choice] {
+        &self.choices
     }
 
-    /// Source node.
-    pub fn source(&self) -> NodeId {
-        self.source
+    /// Source node (assembly emits it first).
+    pub fn source(&self) -> u32 {
+        0
     }
 
-    /// Sink node.
-    pub fn sink(&self) -> NodeId {
-        self.sink
+    /// Sink node (assembly emits it second).
+    pub fn sink(&self) -> u32 {
+        1
     }
 
     /// How much dominance pruning removed during construction (all zero
     /// for [`PruneConfig::off`] builds).
     pub fn prune_stats(&self) -> PruneStats {
         self.prune_stats
-    }
-
-    /// The flat struct-of-arrays edge store the solvers iterate.
-    pub fn soa(&self) -> &SoaEdges {
-        &self.soa
     }
 
     /// Recover the configuration a source→sink path encodes.
@@ -914,8 +823,7 @@ impl PlannerDag {
         let mut k_m = None;
         let mut k_r = None;
         for &e in edges {
-            let (_, to) = self.graph.endpoints(e);
-            match *self.graph.node(to) {
+            match self.choices[self.edges.head(e) as usize] {
                 Choice::MapperMem(m) => mapper_mem = Some(m),
                 Choice::ObjectsPerMapper(k) => k_m = Some(k),
                 Choice::ObjectsPerReducer { k_r: k, .. } => k_r = Some(k),
@@ -935,7 +843,7 @@ impl PlannerDag {
 
     /// Total time metric along a path.
     pub fn path_time_s(&self, edges: &[EdgeId]) -> f64 {
-        edges.iter().map(|&e| self.graph.edge(e).time_s).sum()
+        edges.iter().map(|&e| self.edges.metrics(e).time_s).sum()
     }
 
     /// Total cost metric along a path.
@@ -943,44 +851,23 @@ impl PlannerDag {
         Money::from_nanos(
             edges
                 .iter()
-                .map(|&e| self.graph.edge(e).cost_nanos as i128)
+                .map(|&e| self.edges.metrics(e).cost_nanos as i128)
                 .sum(),
         )
     }
 
-    /// Overwrite one edge's metrics in the graph arena (the SoA mirror
-    /// is refreshed separately via [`PlannerDag::refresh_soa_metrics`]).
-    pub(crate) fn set_edge(&mut self, eid: EdgeId, m: EdgeMetrics) {
-        *self.graph.edge_mut(eid) = m;
-    }
-
-    /// Re-copy the SoA mirror's times/costs from the graph payloads
-    /// after a batch of [`PlannerDag::set_edge`] writes.
-    pub(crate) fn refresh_soa_metrics(&mut self) {
-        let PlannerDag { graph, soa, .. } = self;
-        soa.refresh_metrics(graph);
-    }
-
-    /// Re-copy the SoA mirror's times/costs for the out-edges of the
-    /// marked tail nodes only (`tails[u]` ⇒ node `u`'s out-edges may
-    /// have been rewritten by [`PlannerDag::set_edge`]).
-    pub(crate) fn refresh_soa_metrics_on(&mut self, tails: &[bool]) {
-        let PlannerDag { graph, soa, .. } = self;
-        soa.refresh_metrics_on(graph, tails);
-    }
-
     /// Tier-B incremental patch: recompute the column recipes for the
     /// (changed) job behind `cache` and *replay* [`assemble`]'s exact
-    /// node/edge emission order against this DAG's existing topology,
+    /// node/edge emission order against this DAG's existing store,
     /// overwriting edge metrics in place.
     ///
-    /// Because assembly order is deterministic, a successful replay — a
-    /// node-by-node, edge-by-edge topology match that consumes exactly
-    /// the stored node and edge counts — produces a graph bit-identical
-    /// to a cold [`PlannerDag::build_with_cache`] at the new inputs.
-    /// Any divergence (a feasibility gate or pruning verdict flipped, so
-    /// the new build would have different shape) returns `false`; the
-    /// DAG's payloads are then partially overwritten and the caller
+    /// Because emission order is deterministic, a successful replay — a
+    /// node-by-node, slot-by-slot topology match that consumes exactly
+    /// the stored nodes and slots — produces a store bit-identical to a
+    /// cold [`PlannerDag::build_with_cache`] at the new inputs. Any
+    /// divergence (a feasibility gate or pruning verdict flipped, so the
+    /// new build would have a different shape) returns `false`; the
+    /// store's metrics are then partially overwritten and the caller
     /// **must** discard it and rebuild. `space` and `prune` must be the
     /// ones the DAG was originally built with (the delta classifier
     /// guarantees this — space changes are reshape deltas).
@@ -991,152 +878,18 @@ impl PlannerDag {
         cache: &ModelCache<'_>,
         prune: PruneConfig,
     ) -> bool {
-        let (job, platform) = (cache.job(), cache.platform());
-        job.profile.validate();
-        let coord_compute = coord_compute_per_tier(job, platform, space);
-
-        // Same parallel recipe passes as `build_with_cache`.
-        let col2: Vec<Col2Recipe> = space
-            .k_m_values
-            .par_iter()
-            .filter_map(|&k_m| col2_recipe(platform, catalog, space, cache, prune, k_m))
-            .collect();
-        let col3_flat: Vec<Option<(usize, Col3Recipe)>> = {
-            let work: Vec<(usize, usize, usize)> = col2
-                .iter()
-                .enumerate()
-                .flat_map(|(ci, r)| {
-                    space
-                        .k_r_candidates(r.j)
-                        .into_iter()
-                        .map(move |k_r| (ci, r.k_m, k_r))
-                })
-                .collect();
-            work.par_iter()
-                .map(|&(ci, k_m, k_r)| {
-                    col3_recipe(platform, catalog, space, cache, &coord_compute, prune, k_m, k_r)
-                        .map(|r| (ci, r))
-                })
-                .collect()
-        };
-
-        // Replay `assemble`'s emission order, checking topology and
-        // overwriting payloads as we go.
-        fn take_node(
-            g: &DiGraph<Choice, EdgeMetrics>,
-            next: &mut u32,
-            want: Choice,
-        ) -> Option<NodeId> {
-            let id = NodeId(*next);
-            if (*next as usize) >= g.node_count() || *g.node(id) != want {
-                return None;
-            }
-            *next += 1;
-            Some(id)
-        }
-        fn take_edge(
-            g: &mut DiGraph<Choice, EdgeMetrics>,
-            next: &mut u32,
-            from: NodeId,
-            to: NodeId,
-            m: EdgeMetrics,
-        ) -> bool {
-            let id = EdgeId(*next);
-            if (*next as usize) >= g.edge_count() || g.endpoints(id) != (from, to) {
-                return false;
-            }
-            *g.edge_mut(id) = m;
-            *next += 1;
-            true
-        }
-
-        let tiers = &space.memory_tiers_mb;
-        let g = &mut self.graph;
-        let (mut nn, mut ne) = (0u32, 0u32);
-        let Some(source) = take_node(g, &mut nn, Choice::Source) else {
+        let tel = astra_telemetry::Telemetry::disabled();
+        let (col2, col3_flat) = recipes(catalog, space, cache, prune, &tel, 0);
+        let mut replay = SlotWriter::new(&self.choices, &mut self.edges, false);
+        let Some(prune_stats) = emit(space, &col2, &col3_flat, &mut replay) else {
             return false;
         };
-        let Some(sink) = take_node(g, &mut nn, Choice::Sink) else {
-            return false;
-        };
-        let mut col1 = Vec::with_capacity(tiers.len());
-        for &m in tiers.iter() {
-            let Some(id) = take_node(g, &mut nn, Choice::MapperMem(m)) else {
-                return false;
-            };
-            if !take_edge(g, &mut ne, source, id, metrics(0.0, Money::ZERO)) {
-                return false;
-            }
-            col1.push(id);
-        }
-        let mut col5 = Vec::with_capacity(tiers.len());
-        for &m in tiers.iter() {
-            let Some(id) = take_node(g, &mut nn, Choice::ReducerMem(m)) else {
-                return false;
-            };
-            if !take_edge(g, &mut ne, id, sink, metrics(0.0, Money::ZERO)) {
-                return false;
-            }
-            col5.push(id);
-        }
-
-        let mut prune_stats = PruneStats::default();
-        let mut col2_nodes = Vec::with_capacity(col2.len());
-        for r in &col2 {
-            prune_stats.mapper_edges += r.pruned_edges;
-            let Some(node) = take_node(g, &mut nn, Choice::ObjectsPerMapper(r.k_m)) else {
-                return false;
-            };
-            for &(ti, m) in &r.mapper_edges {
-                if !take_edge(g, &mut ne, col1[ti], node, m) {
-                    return false;
-                }
-            }
-            col2_nodes.push(node);
-        }
-
-        for (ci, recipe) in col3_flat.into_iter().flatten() {
-            prune_stats.coordinator_nodes += recipe.pruned_coords;
-            prune_stats.reducer_edges += recipe.pruned_final_edges;
-            if recipe.per_coord.is_empty() {
-                continue;
-            }
-            let k_m = col2[ci].k_m;
-            let k_r = recipe.k_r;
-            let Some(col3_node) = take_node(g, &mut nn, Choice::ObjectsPerReducer { k_m, k_r })
-            else {
-                return false;
-            };
-            if !take_edge(g, &mut ne, col2_nodes[ci], col3_node, recipe.e2) {
-                return false;
-            }
-            for (ai, coord) in recipe.per_coord {
-                let want = Choice::CoordinatorMem {
-                    k_m,
-                    k_r,
-                    mem: tiers[ai],
-                };
-                let Some(col4_node) = take_node(g, &mut nn, want) else {
-                    return false;
-                };
-                if !take_edge(g, &mut ne, col3_node, col4_node, coord.e3) {
-                    return false;
-                }
-                for (si, m) in coord.final_edges {
-                    if !take_edge(g, &mut ne, col4_node, col5[si], m) {
-                        return false;
-                    }
-                }
-            }
-        }
-
-        // The replay must consume the graph exactly: leftovers mean the
-        // new build would emit fewer nodes/edges than the old shape.
-        if nn as usize != g.node_count() || ne as usize != g.edge_count() {
+        // The replay must consume the store exactly: leftovers mean the
+        // new build would emit fewer nodes or edges than the old shape.
+        if !replay.consumed_all() {
             return false;
         }
         self.prune_stats = prune_stats;
-        self.refresh_soa_metrics();
         true
     }
 }
@@ -1151,73 +904,118 @@ fn coord_compute_per_tier(job: &JobSpec, platform: &Platform, space: &ConfigSpac
         .collect()
 }
 
-/// Assemble the graph from collected recipes. This is the single
-/// authority on node/edge order: columns 1 and 5 in tier order, column 2
-/// in `k_m_values` order (mapper edges grouped per `k_M`, in tier
-/// order), then per `(k_M, k_R)` in candidate order the column-3 node,
-/// its `e2` edge, and per coordinator tier the column-4 node, its `e3`
-/// edge and the final edges in reducer-tier order.
-fn assemble(
-    space: &ConfigSpace,
-    col2: Vec<Col2Recipe>,
-    col3_flat: Vec<Option<(usize, Col3Recipe)>>,
-) -> PlannerDag {
-    let tiers = &space.memory_tiers_mb;
-    // Pre-size the store: at production N the DAG holds >10^6 edges and
-    // incremental regrowth dominates assembly time.
-    let (mut nodes, mut edges) = (2 + 2 * tiers.len(), 2 * tiers.len());
-    for r in &col2 {
-        nodes += 1;
-        edges += r.mapper_edges.len();
-    }
-    for (_, recipe) in col3_flat.iter().flatten() {
-        if recipe.per_coord.is_empty() {
-            continue;
-        }
-        nodes += 1 + recipe.per_coord.len();
-        edges += 1;
-        for (_, coord) in &recipe.per_coord {
-            edges += 1 + coord.final_edges.len();
-        }
-    }
-    let mut g: DiGraph<Choice, EdgeMetrics> = DiGraph::with_capacity(nodes, edges);
-    let source = g.add_node(Choice::Source);
-    let sink = g.add_node(Choice::Sink);
+/// Column recipes flattened per `(k_M, k_R)` work item, tagged with the
+/// index of their column-2 recipe (`None` where the pair is infeasible).
+type Col3Flat = Vec<Option<(usize, Col3Recipe)>>;
 
+/// The two parallel recipe passes: mapper edges per `k_M`, then reduce
+/// edges per surviving `(k_M, k_R)` pair. Both are order-preserving, so
+/// the output is identical for every thread count.
+fn recipes(
+    catalog: &PriceCatalog,
+    space: &ConfigSpace,
+    cache: &ModelCache<'_>,
+    prune: PruneConfig,
+    tel: &astra_telemetry::Telemetry,
+    parent: u64,
+) -> (Vec<Col2Recipe>, Col3Flat) {
+    let (job, platform) = (cache.job(), cache.platform());
+    job.profile.validate();
+    let coord_compute = coord_compute_per_tier(job, platform, space);
+    let col2: Vec<Col2Recipe> = {
+        let mut span = tel.wall_span("planner", "dag.col2", "planner");
+        span.set_parent(parent);
+        space
+            .k_m_values
+            .par_iter()
+            .filter_map(|&k_m| col2_recipe(platform, catalog, space, cache, prune, k_m))
+            .collect()
+    };
+    let col3_flat = {
+        let mut span = tel.wall_span("planner", "dag.col3", "planner");
+        span.set_parent(parent);
+        let work: Vec<(usize, usize, usize)> = col2
+            .iter()
+            .enumerate()
+            .flat_map(|(ci, r)| {
+                space
+                    .k_r_candidates(r.j)
+                    .into_iter()
+                    .map(move |k_r| (ci, r.k_m, k_r))
+            })
+            .collect();
+        work.par_iter()
+            .map(|&(ci, k_m, k_r)| {
+                col3_recipe(platform, catalog, space, cache, &coord_compute, prune, k_m, k_r)
+                    .map(|r| (ci, r))
+            })
+            .collect()
+    };
+    (col2, col3_flat)
+}
+
+/// Receiver of [`emit`]'s node and edge sequence. Returning `None`
+/// stops the emission (a replay found a different shape).
+trait Emit {
+    /// The next node, carrying `choice`; returns its id.
+    fn node(&mut self, choice: Choice) -> Option<u32>;
+    /// An edge `from -> to`; `multiplicity` is evaluated only by
+    /// receivers that store it.
+    fn edge(
+        &mut self,
+        from: u32,
+        to: u32,
+        m: EdgeMetrics,
+        multiplicity: impl FnOnce() -> u32,
+    ) -> Option<()>;
+}
+
+/// Walk the recipes in the one canonical emission order and feed every
+/// node and edge to `out`, returning the prune tallies (or `None` if
+/// `out` stopped the walk). This is the single authority on node and
+/// edge order: source and sink, columns 1 and 5 in tier order (each
+/// with its source/sink edge), column 2 in `k_m_values` order (mapper
+/// edges per `k_M` in tier order), then per `(k_M, k_R)` in candidate
+/// order the column-3 node, its `e2` edge, and per coordinator tier the
+/// column-4 node, its `e3` edge and the final edges in reducer-tier
+/// order.
+fn emit(
+    space: &ConfigSpace,
+    col2: &[Col2Recipe],
+    col3_flat: &[Option<(usize, Col3Recipe)>],
+    out: &mut impl Emit,
+) -> Option<PruneStats> {
+    let tiers = &space.memory_tiers_mb;
+    let zero = metrics(0.0, Money::ZERO);
+    let source = out.node(Choice::Source)?;
+    let sink = out.node(Choice::Sink)?;
     // Column 1 (mapper memory) and column 5 (reducer memory) are shared
     // across all partitioning choices.
-    let col1: Vec<NodeId> = tiers
-        .iter()
-        .map(|&m| {
-            let id = g.add_node(Choice::MapperMem(m));
-            g.add_edge(source, id, metrics(0.0, Money::ZERO));
-            id
-        })
-        .collect();
-    let col5: Vec<NodeId> = tiers
-        .iter()
-        .map(|&m| {
-            let id = g.add_node(Choice::ReducerMem(m));
-            g.add_edge(id, sink, metrics(0.0, Money::ZERO));
-            id
-        })
-        .collect();
+    let mut col1 = Vec::with_capacity(tiers.len());
+    for &m in tiers {
+        let id = out.node(Choice::MapperMem(m))?;
+        out.edge(source, id, zero, || 1)?;
+        col1.push(id);
+    }
+    let mut col5 = Vec::with_capacity(tiers.len());
+    for &m in tiers {
+        let id = out.node(Choice::ReducerMem(m))?;
+        out.edge(id, sink, zero, || 1)?;
+        col5.push(id);
+    }
 
     let mut prune_stats = PruneStats::default();
-    let col2_nodes: Vec<NodeId> = col2
-        .iter()
-        .map(|r| {
-            prune_stats.mapper_edges += r.pruned_edges;
-            let node = g.add_node(Choice::ObjectsPerMapper(r.k_m));
-            for &(ti, m) in &r.mapper_edges {
-                g.add_edge(col1[ti], node, m);
-            }
-            node
-        })
-        .collect();
+    let mut col2_nodes = Vec::with_capacity(col2.len());
+    for r in col2 {
+        prune_stats.mapper_edges += r.pruned_edges;
+        let node = out.node(Choice::ObjectsPerMapper(r.k_m))?;
+        for &(ti, m) in &r.mapper_edges {
+            out.edge(col1[ti], node, m, || space.k_m_weight(r.k_m) as u32)?;
+        }
+        col2_nodes.push(node);
+    }
 
-    let j_of_k_m: HashMap<usize, usize> = col2.iter().map(|r| (r.k_m, r.j)).collect();
-    for (ci, recipe) in col3_flat.into_iter().flatten() {
+    for (ci, recipe) in col3_flat.iter().flatten() {
         prune_stats.coordinator_nodes += recipe.pruned_coords;
         prune_stats.reducer_edges += recipe.pruned_final_edges;
         if recipe.per_coord.is_empty() {
@@ -1225,37 +1023,140 @@ fn assemble(
             // would have no continuation, so skip it entirely.
             continue;
         }
-        let k_m = col2[ci].k_m;
-        let k_r = recipe.k_r;
-        let col3_node = g.add_node(Choice::ObjectsPerReducer { k_m, k_r });
-        g.add_edge(col2_nodes[ci], col3_node, recipe.e2);
-        for (ai, coord) in recipe.per_coord {
-            let col4_node = g.add_node(Choice::CoordinatorMem {
+        let (k_m, j, k_r) = (col2[*ci].k_m, col2[*ci].j, recipe.k_r);
+        let col3_node = out.node(Choice::ObjectsPerReducer { k_m, k_r })?;
+        out.edge(col2_nodes[*ci], col3_node, recipe.e2, || {
+            space.k_r_weight(j, k_r) as u32
+        })?;
+        for (ai, coord) in &recipe.per_coord {
+            let col4_node = out.node(Choice::CoordinatorMem {
                 k_m,
                 k_r,
-                mem: tiers[ai],
-            });
-            g.add_edge(col3_node, col4_node, coord.e3);
-            for (si, m) in coord.final_edges {
-                g.add_edge(col4_node, col5[si], m);
+                mem: tiers[*ai],
+            })?;
+            out.edge(col3_node, col4_node, coord.e3, || 1)?;
+            for &(si, m) in &coord.final_edges {
+                out.edge(col4_node, col5[si], m, || 1)?;
             }
         }
     }
+    Some(prune_stats)
+}
 
-    let soa = SoaEdges::build(&g, space, &j_of_k_m);
+/// First assembly pass: record every node's choice and out-degree.
+#[derive(Default)]
+struct ShapeCounter {
+    choices: Vec<Choice>,
+    degrees: Vec<u32>,
+}
+
+impl Emit for ShapeCounter {
+    fn node(&mut self, choice: Choice) -> Option<u32> {
+        let id = u32::try_from(self.choices.len()).expect("too many nodes");
+        self.choices.push(choice);
+        self.degrees.push(0);
+        Some(id)
+    }
+
+    fn edge(&mut self, from: u32, _: u32, _: EdgeMetrics, _: impl FnOnce() -> u32) -> Option<()> {
+        self.degrees[from as usize] += 1;
+        Some(())
+    }
+}
+
+/// Writes (or, replaying, verifies and rewrites) slots. Each tail fills
+/// its slot range from the back, so its most recently emitted edge takes
+/// its first slot.
+struct SlotWriter<'a> {
+    choices: &'a [Choice],
+    store: &'a mut SoaEdges,
+    /// Per node, one past the next slot to fill.
+    cursor: Vec<u32>,
+    next_node: u32,
+    /// `true` for a fresh store (write heads and multiplicities),
+    /// `false` for a replay (verify heads, keep multiplicities).
+    fresh: bool,
+}
+
+impl<'a> SlotWriter<'a> {
+    fn new(choices: &'a [Choice], store: &'a mut SoaEdges, fresh: bool) -> SlotWriter<'a> {
+        let cursor = store.offsets[1..].to_vec();
+        SlotWriter {
+            choices,
+            store,
+            cursor,
+            next_node: 0,
+            fresh,
+        }
+    }
+
+    /// Every node and slot was emitted exactly once.
+    fn consumed_all(&self) -> bool {
+        self.next_node as usize == self.choices.len()
+            && self.cursor.iter().zip(&self.store.offsets).all(|(c, o)| c == o)
+    }
+}
+
+impl Emit for SlotWriter<'_> {
+    fn node(&mut self, choice: Choice) -> Option<u32> {
+        let id = self.next_node;
+        if self.choices.get(id as usize) != Some(&choice) {
+            return None;
+        }
+        self.next_node += 1;
+        Some(id)
+    }
+
+    fn edge(
+        &mut self,
+        from: u32,
+        to: u32,
+        m: EdgeMetrics,
+        multiplicity: impl FnOnce() -> u32,
+    ) -> Option<()> {
+        let cursor = &mut self.cursor[from as usize];
+        if *cursor == self.store.offsets[from as usize] {
+            return None; // more edges than the stored shape has
+        }
+        *cursor -= 1;
+        let slot = *cursor as usize;
+        if self.fresh {
+            self.store.heads[slot] = to;
+            self.store.multiplicity[slot] = multiplicity();
+        } else if self.store.heads[slot] != to {
+            return None;
+        }
+        self.store.overwrite(EdgeId(slot as u32), m);
+        Some(())
+    }
+}
+
+/// Assemble the DAG from collected recipes: one [`emit`] walk to size
+/// every node's slot range, a second to fill the slots, then the
+/// topological order.
+fn assemble(
+    space: &ConfigSpace,
+    col2: &[Col2Recipe],
+    col3_flat: &[Option<(usize, Col3Recipe)>],
+) -> PlannerDag {
+    let mut shape = ShapeCounter::default();
+    let prune_stats = emit(space, col2, col3_flat, &mut shape).expect("counting never stops");
+    let mut edges = SoaEdges::with_degrees(&shape.degrees);
+    let mut writer = SlotWriter::new(&shape.choices, &mut edges, true);
+    emit(space, col2, col3_flat, &mut writer).expect("a fresh store accepts its own shape");
+    debug_assert!(writer.consumed_all());
+    edges.topo = edges.kahn_order();
     PlannerDag {
-        graph: g,
-        source,
-        sink,
+        choices: shape.choices,
+        edges,
         prune_stats,
-        soa,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astra_graph::dijkstra::shortest_path_all;
+    use astra_graph::dijkstra::{shortest_path, ShortestPath};
     use astra_model::{evaluate, WorkloadProfile};
 
     fn job(n: usize) -> JobSpec {
@@ -1271,12 +1172,47 @@ mod tests {
         (j, platform, catalog, dag)
     }
 
+    /// A store view weighting each edge `lambda * time + (1 - lambda) *
+    /// cost` (cost in milli-dollars), for probing many different paths.
+    struct Mix<'a> {
+        view: SoaView<'a, false>,
+        lambda: f64,
+    }
+
+    impl EdgeExpand for Mix<'_> {
+        fn node_count(&self) -> usize {
+            self.view.node_count()
+        }
+
+        fn for_each_out(&mut self, v: u32, mut f: impl FnMut(EdgeId, u32, f64, f64)) {
+            let lambda = self.lambda;
+            self.view.for_each_out(v, |e, head, t, c| {
+                f(e, head, lambda * t + (1.0 - lambda) * c * 1e-3, 0.0)
+            });
+        }
+
+        fn topo_order(&self) -> Option<Vec<u32>> {
+            self.view.topo_order()
+        }
+    }
+
+    /// Unconstrained shortest path on the `lambda` mix (1.0 = time,
+    /// 0.0 = cost) by the zero-bound Dijkstra.
+    fn shortest(dag: &PlannerDag, lambda: f64) -> Option<ShortestPath> {
+        let mut g = Mix {
+            view: dag.graph().time_view(),
+            lambda,
+        };
+        let zero = vec![0.0; g.node_count()];
+        shortest_path(&mut g, dag.source(), dag.sink(), |_| true, &zero)
+    }
+
     #[test]
     fn dag_is_acyclic_and_connected() {
         let (_, _, _, dag) = build(6, &[128, 1024]);
-        assert!(dag.graph().is_dag());
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| m.time_s);
-        assert!(p.is_some());
+        let order = dag.graph().time_view().topo_order().unwrap();
+        assert_eq!(order.len(), dag.graph().node_count());
+        assert!(shortest(&dag, 1.0).is_some());
     }
 
     #[test]
@@ -1296,10 +1232,7 @@ mod tests {
             let dag = PlannerDag::build(&j, &platform, &catalog, &space);
             // Probe several paths by minimizing different mixes.
             for lambda in [0.0, 0.3, 0.7, 1.0] {
-                let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| {
-                    lambda * m.time_s + (1.0 - lambda) * (m.cost_nanos as f64) * 1e-6
-                })
-                .unwrap();
+                let p = shortest(&dag, lambda).unwrap();
                 let config = dag.config_for_path(&p.edges);
                 let ev = evaluate(&j, &platform, &config, &catalog).unwrap();
                 let dt = (dag.path_time_s(&p.edges) - ev.jct_s()).abs();
@@ -1314,34 +1247,17 @@ mod tests {
     }
 
     #[test]
-    fn unconstrained_shortest_time_path_beats_every_config() {
+    fn unconstrained_shortest_paths_beat_every_config() {
         let (j, platform, catalog, dag) = build(5, &[128, 1024]);
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| m.time_s).unwrap();
-        let best_time = dag.path_time_s(&p.edges);
+        let fastest = shortest(&dag, 1.0).unwrap();
+        let cheapest = shortest(&dag, 0.0).unwrap();
+        let best_time = dag.path_time_s(&fastest.edges);
+        let best_cost = dag.path_cost(&cheapest.edges);
         let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
         for config in space.iter_configs(&j) {
             if let Ok(ev) = evaluate(&j, &platform, &config, &catalog) {
-                assert!(
-                    best_time <= ev.jct_s() + 1e-9,
-                    "config {config:?} is faster: {} < {best_time}",
-                    ev.jct_s()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn unconstrained_cheapest_path_beats_every_config() {
-        let (j, platform, catalog, dag) = build(5, &[128, 1024]);
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| {
-            m.cost_nanos as f64
-        })
-        .unwrap();
-        let best = dag.path_cost(&p.edges);
-        let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
-        for config in space.iter_configs(&j) {
-            if let Ok(ev) = evaluate(&j, &platform, &config, &catalog) {
-                assert!(best <= ev.total_cost(), "config {config:?} is cheaper");
+                assert!(best_time <= ev.jct_s() + 1e-9, "config {config:?} is faster");
+                assert!(best_cost <= ev.total_cost(), "config {config:?} is cheaper");
             }
         }
     }
@@ -1356,7 +1272,7 @@ mod tests {
         let catalog = PriceCatalog::aws_2020();
         let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
         let dag = PlannerDag::build(&j, &platform, &catalog, &space);
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| m.time_s).unwrap();
+        let p = shortest(&dag, 1.0).unwrap();
         let config = dag.config_for_path(&p.edges);
         assert_eq!(config.mapper_mem_mb, 1024);
     }
@@ -1375,8 +1291,8 @@ mod tests {
         };
         let dag = PlannerDag::build(&j, &platform, &catalog, &space);
         // k_M = 1 and 2 (j = 10, 5) must be absent.
-        for id in dag.graph().node_ids() {
-            if let Choice::ObjectsPerMapper(k_m) = dag.graph().node(id) {
+        for choice in dag.choices() {
+            if let Choice::ObjectsPerMapper(k_m) = choice {
                 assert!(*k_m >= 3, "k_M={k_m} should have been pruned");
             }
         }
@@ -1399,23 +1315,15 @@ mod tests {
         assert!(pruned.graph().node_count() <= full.graph().node_count());
         // Both orientations still find their unconstrained optimum, and it
         // matches the full DAG's bit for bit.
-        for metric in [
-            (|m: &EdgeMetrics| m.time_s) as fn(&EdgeMetrics) -> f64,
-            (|m: &EdgeMetrics| m.cost_nanos as f64) as fn(&EdgeMetrics) -> f64,
-        ] {
-            let p = shortest_path_all(pruned.graph(), pruned.source(), pruned.sink(), |_, m| {
-                metric(m)
-            })
-            .unwrap();
-            let q =
-                shortest_path_all(full.graph(), full.source(), full.sink(), |_, m| metric(m))
-                    .unwrap();
+        for lambda in [1.0, 0.0] {
+            let p = shortest(&pruned, lambda).unwrap();
+            let q = shortest(&full, lambda).unwrap();
             assert_eq!(pruned.config_for_path(&p.edges), full.config_for_path(&q.edges));
         }
     }
 
     #[test]
-    fn prune_off_matches_the_historical_full_dag_shape() {
+    fn prune_off_keeps_dead_end_coordinators() {
         // PruneConfig::off must reproduce the pre-pruning construction
         // exactly: every coordinator tier gets a column-4 node even when
         // it is a dead end with no feasible reducer continuation.
@@ -1423,27 +1331,26 @@ mod tests {
         let platform = Platform::paper_literal(10.0);
         let catalog = PriceCatalog::aws_2020();
         let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
-        let a = PlannerDag::build_with(&j, &platform, &catalog, &space, PruneConfig::off());
-        let b = PlannerDag::build_serial_with(&j, &platform, &catalog, &space, PruneConfig::off());
-        assert_eq!(a.graph().node_count(), b.graph().node_count());
-        assert_eq!(a.graph().edge_count(), b.graph().edge_count());
+        let dag = PlannerDag::build_with(&j, &platform, &catalog, &space, PruneConfig::off());
+        let count = |f: fn(&Choice) -> bool| dag.choices().iter().filter(|c| f(c)).count();
+        let pairs = count(|c| matches!(c, Choice::ObjectsPerReducer { .. }));
+        let coords = count(|c| matches!(c, Choice::CoordinatorMem { .. }));
+        assert_eq!(coords, pairs * 2, "one column-4 node per (pair, tier)");
     }
 
     #[test]
-    fn soa_store_mirrors_the_graph_exactly() {
-        let (_, _, _, dag) = build(8, &[128, 512, 3008]);
+    fn store_slots_are_grouped_by_tail_most_recent_first() {
+        let (j, platform, catalog, dag) = build(8, &[128, 512, 3008]);
         let g = dag.graph();
-        let soa = dag.soa();
-        assert_eq!(soa.edges_stored(), g.edge_count());
+        let n = g.node_count();
         // Even the raw space folds every k_R >= j onto the single-step
         // candidate (the k_r_candidates clamp), so the collapse counter
         // is non-zero here too. Derive the expected total independently:
         // an edge into the single-step node `k_R = max(j, 2)` stands for
         // the n - max(j, 2) + 1 raw values of 2..=n at or above it.
-        let expected: u64 = g
-            .node_ids()
-            .flat_map(|u| g.out_edges(u).map(|(eid, _)| g.endpoints(eid).1))
-            .map(|head| match *g.node(head) {
+        let expected: u64 = (0..n as u32)
+            .flat_map(|v| g.out_edges(v))
+            .map(|e| match dag.choices()[g.head(e) as usize] {
                 Choice::ObjectsPerReducer { k_m, k_r } => {
                     let cap = 8usize.div_ceil(k_m).max(2);
                     if k_r == cap {
@@ -1455,36 +1362,24 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        assert_eq!(soa.bundles_collapsed(), expected);
-        // Slot order per node == out_edges order, payloads bit-identical.
-        let mut view = soa.time_view();
-        for u in g.node_ids() {
-            let arena: Vec<(EdgeId, u32, u64, i64)> = g
-                .out_edges(u)
-                .map(|(eid, m)| {
-                    (eid, g.endpoints(eid).1 .0, m.time_s.to_bits(), m.cost_nanos)
-                })
-                .collect();
-            let mut flat: Vec<(EdgeId, u32, u64, f64)> = Vec::new();
-            view.for_each_out(u.0, |eid, head, w, r| {
-                flat.push((eid, head, w.to_bits(), r));
-            });
-            assert_eq!(arena.len(), flat.len());
-            for (a, f) in arena.iter().zip(&flat) {
-                assert_eq!(a.0, f.0);
-                assert_eq!(a.1, f.1);
-                assert_eq!(a.2, f.2, "time bits differ on edge {:?}", a.0);
-                assert_eq!((a.3 as f64 * 1e-3).to_bits(), f.3.to_bits(), "cost µ$");
-            }
-        }
-        // Stored topo order is the graph's own.
-        let topo: Vec<u32> = g
-            .topological_order()
-            .unwrap()
-            .into_iter()
-            .map(|id| id.0)
+        assert_eq!(g.bundles_collapsed(), expected);
+        // The source's out-edges are the column-1 tiers, emitted in tier
+        // order, so they sit in reverse tier order.
+        let heads: Vec<Choice> = g
+            .out_edges(dag.source())
+            .map(|e| dag.choices()[g.head(e) as usize])
             .collect();
-        assert_eq!(view.topo_order().unwrap(), topo);
+        assert_eq!(
+            heads,
+            vec![
+                Choice::MapperMem(3008),
+                Choice::MapperMem(512),
+                Choice::MapperMem(128)
+            ]
+        );
+        let space = ConfigSpace::with_tiers(&j, &platform, &[128, 512, 3008]);
+        let rebuilt = PlannerDag::build(&j, &platform, &catalog, &space);
+        assert!(rebuilt.graph() == g, "rebuilds are bit-identical");
     }
 
     #[test]
@@ -1496,7 +1391,7 @@ mod tests {
         let full = ConfigSpace::full(&j, &platform);
         let dag = PlannerDag::build(&j, &platform, &catalog, &space);
         assert!(
-            dag.soa().bundles_collapsed() > 0,
+            dag.graph().bundles_collapsed() > 0,
             "97 objects have k_M classes wider than one candidate"
         );
         // The bundled space's k_M axis stands for every raw candidate.
@@ -1514,7 +1409,6 @@ mod tests {
         let catalog = PriceCatalog::aws_2020();
         let space = ConfigSpace::with_tiers(&j, &platform, &[128]);
         let dag = PlannerDag::build(&j, &platform, &catalog, &space);
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| m.time_s);
-        assert!(p.is_none());
+        assert!(shortest(&dag, 1.0).is_none());
     }
 }

@@ -14,21 +14,22 @@
 //! configuration, and the metrics sum along a path to exactly the
 //! analytical model's prediction for that configuration (a property
 //! `tests/` asserts). Solving either optimization is then a (constrained)
-//! shortest-path query:
+//! shortest-path query over the DAG's one edge store, answered by
+//! [`solver::solve_on_dag`]:
 //!
-//! * [`alg1`] — the paper's Algorithm 1 verbatim: Dijkstra on the
-//!   objective, then prune the edge where the constraint first trips and
-//!   retry. A heuristic.
 //! * [`solver::Strategy::ExactCsp`] — exact Pareto-label constrained
-//!   shortest path (the default; optimal for the model).
-//! * [`solver::Strategy::PathEnumeration`] — Yen's k-shortest paths until
-//!   the first feasible one (also exact; slower).
-//! * [`solver::Strategy::Exhaustive`] — brute force over the space, used
-//!   to validate all of the above on small instances.
+//!   shortest path, guided by backward potentials (the default; optimal
+//!   for the model).
+//! * [`solver::Strategy::Algorithm1`] — the paper's Algorithm 1
+//!   ([`astra_graph::alg1`]): potential-guided Dijkstra on the objective,
+//!   then remove the edge where the constraint first trips and retry. A
+//!   heuristic.
+//! * [`solver::Strategy::Exhaustive`] — brute force over the space through
+//!   the model, used to validate the above on small instances.
 //!
-//! Entry point: [`Astra::plan`].
+//! Entry points: [`Astra::plan`] for one query, [`PlannerSession`] for
+//! many queries against one job.
 
-pub mod alg1;
 pub mod astra;
 pub mod cache;
 pub mod dag;
@@ -41,10 +42,10 @@ pub mod space;
 
 pub use astra::{Astra, PlanError};
 pub use cache::{CacheStats, ModelCache};
-pub use dag::{Choice, EdgeMetrics, PlannerDag, PruneConfig, PruneStats};
+pub use dag::{Choice, EdgeMetrics, PlannerDag, PruneConfig, PruneStats, SoaEdges};
 pub use objective::Objective;
 pub use plan::{Plan, PlanSpec, ReduceSpec};
 pub use replan::{EdgeFamily, JobDelta, ReplanOutcome};
 pub use session::PlannerSession;
-pub use solver::{solve_on_dag_with_potentials, PlannerPotentials, Strategy};
+pub use solver::{solve_on_dag, PlannerPotentials, Strategy};
 pub use space::ConfigSpace;

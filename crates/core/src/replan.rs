@@ -9,8 +9,8 @@
 //! then picks the cheapest sound repair:
 //!
 //! * **fast recost** (`RecostPlan`) — only the touched edge families
-//!   are re-evaluated through the O(1) cost kernels and written back
-//!   into the existing arena + SoA mirror. Sound only when no
+//!   are re-evaluated through the O(1) cost kernels and written over
+//!   their slots in the existing edge store. Sound only when no
 //!   feasibility gate or pruning verdict can flip: unpruned DAGs and
 //!   deltas limited to `{name, mapper_coeff, prices}` (a mapper-
 //!   coefficient change can flip the mapper timeout gate, so the new
@@ -18,7 +18,7 @@
 //!   any flip falls back).
 //! * **recipe replay** (`PlannerDag::try_patch_recompute`) — recompute
 //!   the column recipes and replay assembly order against the existing
-//!   topology, overwriting payloads. Handles pruned DAGs and any
+//!   topology, overwriting slot metrics. Handles pruned DAGs and any
 //!   non-reshape delta; a shape divergence falls back to a rebuild.
 //! * **rebuild** — space/platform changes (including input-count
 //!   changes that re-bucket the space) always rebuild.
@@ -38,7 +38,7 @@ use astra_model::{JobSpec, Platform};
 use astra_pricing::PriceCatalog;
 
 use crate::cache::ModelCache;
-use crate::dag::{Choice, EdgeMetrics, PlannerDag};
+use crate::dag::{metrics, Choice, EdgeMetrics, PlannerDag};
 use crate::space::ConfigSpace;
 
 /// What `PlannerSession::apply_delta` did to serve the new inputs.
@@ -230,8 +230,8 @@ struct PairCtx {
     coords: Vec<CoordCtx>,
 }
 
-/// Topology index for the fast recost tier: where each recostable edge
-/// family lives in the arena, keyed by the configuration choices its
+/// Topology index for the fast recost tier: which store slots hold each
+/// recostable edge family, keyed by the configuration choices its
 /// cost kernels need. Captured lazily from a built DAG (one O(V+E)
 /// walk) and reused across deltas until a replay or rebuild invalidates
 /// it.
@@ -250,102 +250,77 @@ impl RecostPlan {
     /// have the canonical assembled shape (defensive; cannot happen for
     /// DAGs built by this crate).
     pub(crate) fn capture(dag: &PlannerDag, space: &ConfigSpace) -> Option<RecostPlan> {
-        let g = dag.graph();
+        let (g, choices) = (dag.graph(), dag.choices());
         let tiers = &space.memory_tiers_mb;
         let t = tiers.len();
-        let tier_index: HashMap<u32, usize> =
-            tiers.iter().enumerate().map(|(i, &m)| (m, i)).collect();
         // Canonical id layout: source=0, sink=1, col1=2..2+T, col5=2+T..2+2T.
-        let mut col1 = Vec::with_capacity(t);
-        for (i, &m) in tiers.iter().enumerate() {
-            let id = 2 + i as u32;
-            if *g.node(astra_graph::NodeId(id)) != Choice::MapperMem(m) {
-                return None;
-            }
-            col1.push(id);
+        let canonical = tiers.iter().enumerate().all(|(i, &m)| {
+            choices.get(2 + i) == Some(&Choice::MapperMem(m))
+                && choices.get(2 + t + i) == Some(&Choice::ReducerMem(m))
+        });
+        if !canonical {
+            return None;
         }
+        let col1: Vec<u32> = (2..2 + t as u32).collect();
         let col5_base = 2 + t as u32;
-        for (i, &m) in tiers.iter().enumerate() {
-            let id = col5_base + i as u32;
-            if *g.node(astra_graph::NodeId(id)) != Choice::ReducerMem(m) {
-                return None;
-            }
-        }
 
+        // One walk over the nodes in id order. Assembly emits every
+        // node after the node whose out-edge enters it, so each `e2`/`e3`
+        // slot is known by the time its head is reached, and a pair's
+        // column-4 nodes directly follow its column-3 node.
         let mut mappers: Vec<MapperCtx> = Vec::new();
         let mut pairs: Vec<PairCtx> = Vec::new();
-        let mut mapper_idx: HashMap<u32, usize> = HashMap::new();
-        let mut pair_idx: HashMap<u32, usize> = HashMap::new();
-        let mut coord_idx: HashMap<u32, (usize, usize)> = HashMap::new();
-        for u in g.node_ids() {
-            match *g.node(u) {
+        let mut in_edge: HashMap<u32, EdgeId> = HashMap::new();
+        for (u, &choice) in (0u32..).zip(choices) {
+            match choice {
                 Choice::ObjectsPerMapper(k_m) => {
-                    mapper_idx.insert(u.0, mappers.len());
                     mappers.push(MapperCtx {
                         k_m,
-                        node: u.0,
+                        node: u,
                         edges: Vec::new(),
                     });
+                    in_edge.extend(g.out_edges(u).map(|e| (g.head(e), e)));
                 }
                 Choice::ObjectsPerReducer { k_m, k_r } => {
-                    pair_idx.insert(u.0, pairs.len());
                     pairs.push(PairCtx {
                         k_m,
                         k_r,
-                        node: u.0,
-                        e2: EdgeId(0),
+                        node: u,
+                        e2: *in_edge.get(&u)?,
                         coords: Vec::new(),
                     });
+                    in_edge.extend(g.out_edges(u).map(|e| (g.head(e), e)));
                 }
                 Choice::CoordinatorMem { k_m, k_r, mem } => {
-                    // Assembly emits a pair's column-4 nodes directly
-                    // after its column-3 node, so in id order the owner
-                    // is always the most recently seen pair.
-                    let pi = pairs.len().checked_sub(1)?;
-                    let pair = &mut pairs[pi];
+                    let pair = pairs.last_mut()?;
                     if pair.k_m != k_m || pair.k_r != k_r {
                         return None;
                     }
-                    coord_idx.insert(u.0, (pi, pair.coords.len()));
+                    let mut finals = Vec::new();
+                    for e in g.out_edges(u) {
+                        let si = g.head(e).checked_sub(col5_base)? as usize;
+                        if si >= t {
+                            return None;
+                        }
+                        finals.push((si, e));
+                    }
                     pair.coords.push(CoordCtx {
-                        node: u.0,
+                        node: u,
                         a_mem: mem,
-                        e3: EdgeId(0),
-                        finals: Vec::new(),
+                        e3: *in_edge.get(&u)?,
+                        finals,
                     });
                 }
                 _ => {}
             }
         }
-
-        // One edge walk wires every family to its context. Edge ids are
-        // walked in id order, which is assembly order, so `edges` /
-        // `finals` lists come out deterministic.
-        for eid in g.edge_ids() {
-            let (from, to) = g.endpoints(eid);
-            match (*g.node(from), *g.node(to)) {
-                (Choice::MapperMem(m), Choice::ObjectsPerMapper(_)) => {
-                    let ti = *tier_index.get(&m)?;
-                    let mi = *mapper_idx.get(&to.0)?;
-                    mappers[mi].edges.push((ti, eid));
-                }
-                (Choice::ObjectsPerMapper(_), Choice::ObjectsPerReducer { .. }) => {
-                    let pi = *pair_idx.get(&to.0)?;
-                    pairs[pi].e2 = eid;
-                }
-                (Choice::ObjectsPerReducer { .. }, Choice::CoordinatorMem { .. }) => {
-                    let &(pi, ci) = coord_idx.get(&to.0)?;
-                    pairs[pi].coords[ci].e3 = eid;
-                }
-                (Choice::CoordinatorMem { .. }, Choice::ReducerMem(_)) => {
-                    let &(pi, ci) = coord_idx.get(&from.0)?;
-                    let si = (to.0 - col5_base) as usize;
-                    if si >= t {
-                        return None;
-                    }
-                    pairs[pi].coords[ci].finals.push((si, eid));
-                }
-                _ => {}
+        // Mapper edges leave column 1; walking it in tier order lists each
+        // `k_M`'s mapper edges in tier order.
+        let mapper_idx: HashMap<u32, usize> =
+            mappers.iter().enumerate().map(|(i, m)| (m.node, i)).collect();
+        for (ti, &u) in col1.iter().enumerate() {
+            for e in g.out_edges(u) {
+                mappers[*mapper_idx.get(&g.head(e))?].edges.push((ti, e));
             }
         }
 
@@ -377,6 +352,7 @@ impl RecostPlan {
         let cache = ModelCache::new(job, platform);
         let tiers = &space.memory_tiers_mb;
         let mut dirty = vec![false; dag.graph().node_count()];
+        let g = dag.graph_mut();
 
         if delta.mapper_coeff {
             // Recompute every mapper phase and verify the feasible set
@@ -404,7 +380,7 @@ impl RecostPlan {
                         catalog,
                         cache.job_total_mb(),
                     );
-                    feasible.push((ti, edge_metrics(phase.duration_s, cost)));
+                    feasible.push((ti, metrics(phase.duration_s, cost)));
                 }
                 match self.mapper_of_k_m.get(&k_m) {
                     Some(&mi) => {
@@ -431,7 +407,7 @@ impl RecostPlan {
                 }
             }
             for (eid, m) in writes {
-                dag.set_edge(eid, m);
+                g.overwrite(eid, m);
             }
             for &u in &self.col1 {
                 dirty[u as usize] = true;
@@ -458,7 +434,7 @@ impl RecostPlan {
                             catalog,
                             cache.job_total_mb(),
                         );
-                        dag.set_edge(eid, edge_metrics(phase.duration_s, cost));
+                        g.overwrite(eid, metrics(phase.duration_s, cost));
                     }
                 }
                 for &u in &self.col1 {
@@ -472,9 +448,9 @@ impl RecostPlan {
                     .per_step_spawn_s
                     .last()
                     .expect("at least one step");
-                let e2_time = dag.graph().edge(pair.e2).time_s;
+                let e2_time = g.metrics(pair.e2).time_s;
                 let e2_cost = orchestration_requests_cost(&structure, platform, catalog);
-                dag.set_edge(pair.e2, edge_metrics(e2_time, e2_cost));
+                g.overwrite(pair.e2, metrics(e2_time, e2_cost));
                 // The coordinator-independent slice of each final
                 // edge's cost depends only on the reducer tier, so it
                 // is computed once per tier and shared by every
@@ -486,7 +462,7 @@ impl RecostPlan {
                     // `t2_s` is the e3 edge's stored time; the model
                     // hasn't moved, so it equals what a cold build
                     // would recompute.
-                    let t2_s = dag.graph().edge(coord.e3).time_s;
+                    let t2_s = g.metrics(coord.e3).time_s;
                     let e3_cost = coordinator_storage_cost(
                         job,
                         &structure,
@@ -496,7 +472,7 @@ impl RecostPlan {
                         cache.job_total_mb(),
                         pending_input_mb,
                     );
-                    dag.set_edge(coord.e3, edge_metrics(t2_s, e3_cost));
+                    g.overwrite(coord.e3, metrics(t2_s, e3_cost));
                     dirty[pair.node as usize] = true;
                     for &(si, eid) in &coord.finals {
                         let (wait_before_last, cost_excl) = match excl_by_tier[si] {
@@ -527,8 +503,8 @@ impl RecostPlan {
                         let coord_billed_s = t2_s + wait_before_last + last_spawn_s;
                         let coord_cost =
                             runtime_cost(coord_billed_s, coord.a_mem, &catalog.lambda);
-                        let time_s = dag.graph().edge(eid).time_s;
-                        dag.set_edge(eid, edge_metrics(time_s, cost_excl + coord_cost));
+                        let time_s = g.metrics(eid).time_s;
+                        g.overwrite(eid, metrics(time_s, cost_excl + coord_cost));
                     }
                     dirty[coord.node as usize] = true;
                 }
@@ -541,16 +517,6 @@ impl RecostPlan {
             }
         }
 
-        dag.refresh_soa_metrics_on(&dirty);
         Some(dirty)
-    }
-}
-
-fn edge_metrics(time_s: f64, cost: astra_pricing::Money) -> EdgeMetrics {
-    let nanos = cost.nanos();
-    debug_assert!(nanos >= 0 && nanos <= i64::MAX as i128, "cost out of range");
-    EdgeMetrics {
-        time_s,
-        cost_nanos: nanos as i64,
     }
 }

@@ -5,11 +5,13 @@
 //! Every sweep in the repo — the Pareto frontier, Algorithm 1's probes,
 //! the `exp_fig*` tightness scans, the CLI `frontier` command — asks many
 //! constrained questions about one fixed job. Rebuilding the DAG per
-//! query made construction the dominant cost (`dag_build_serial/N202`
-//! ≈ 2× `solve_exact_csp/N50` in `BENCH_planner.json`); a
-//! [`PlannerSession`] pays it once and amortizes the backward-potential
-//! sweep with it, so repeated queries run at label-search speed alone
-//! (the `session_sweep_*` bench entries track the resulting speedup).
+//! query made construction the dominant cost (at N=202 one build costs
+//! hundreds of potential-guided label searches: compare
+//! `dag_build_pruned` with `solve_csp_potentials` in
+//! `BENCH_planner.json`); a [`PlannerSession`] pays it once and
+//! amortizes the backward-potential sweep with it, so repeated queries
+//! run at label-search speed alone (the `session_sweep_*` bench entries
+//! track the resulting speedup).
 
 use std::collections::BTreeMap;
 
@@ -25,9 +27,7 @@ use crate::dag::{PlannerDag, PruneConfig};
 use crate::objective::Objective;
 use crate::plan::Plan;
 use crate::replan::{JobDelta, RecostPlan, ReplanOutcome};
-use crate::solver::{
-    solve_exhaustive_with_telemetry, solve_on_dag_with_potentials, PlannerPotentials, Strategy,
-};
+use crate::solver::{solve_exhaustive_with_telemetry, solve_on_dag, PlannerPotentials, Strategy};
 use crate::space::ConfigSpace;
 
 /// The [`PruneConfig`] actually applied for a strategy: Algorithm 1 runs
@@ -276,7 +276,7 @@ impl PlannerSession {
             ),
             _ => {
                 let _span = self.telemetry.wall_span("planner", "session.solve", "planner");
-                solve_on_dag_with_potentials(
+                solve_on_dag(
                     &self.dag,
                     &self.potentials,
                     objective,
@@ -539,18 +539,6 @@ mod tests {
             let warm = session.plan(objective).unwrap();
             let cold = astra.plan_with_space(&job, objective, &space).unwrap();
             assert_eq!(warm.spec, cold.spec, "budget step {step}");
-        }
-    }
-
-    #[test]
-    fn session_frontier_matches_astra_frontier() {
-        let job = job();
-        let astra = Astra::with_defaults();
-        let old = astra.pareto_frontier(&job, 8).unwrap();
-        let new = astra.session(&job).pareto_frontier(8).unwrap();
-        assert_eq!(old.len(), new.len());
-        for (a, b) in old.iter().zip(&new) {
-            assert_eq!(a.spec, b.spec);
         }
     }
 

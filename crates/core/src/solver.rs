@@ -1,16 +1,15 @@
 //! Solver strategies over the planner DAG.
 
+use astra_graph::alg1::algorithm1;
 use astra_graph::csp::{
-    constrained_shortest_path, constrained_shortest_path_with_bounds_on, dag_potentials_on,
-    dag_potentials_resume_on, Potentials,
+    constrained_shortest_path, constrained_shortest_path_with_bounds, dag_potentials,
+    dag_potentials_resume, Potentials,
 };
-use astra_graph::yen::KShortestPaths;
 use astra_model::{evaluate, JobConfig, JobSpec, Platform};
 use astra_pricing::{Money, PriceCatalog};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::alg1::{algorithm1_capped, algorithm1_guided_capped};
 use crate::cache::ModelCache;
 use crate::dag::PlannerDag;
 use crate::objective::Objective;
@@ -24,25 +23,15 @@ pub enum Strategy {
     /// Exact Pareto-label constrained shortest path (default).
     #[default]
     ExactCsp,
-    /// Yen's k-shortest paths in objective order until one is feasible
-    /// (exact; can enumerate many paths when the bound is tight).
-    PathEnumeration,
     /// Brute force over the whole configuration space through the
     /// analytical model. Exponentially large with full tier lists — meant
     /// for validation on reduced spaces.
     Exhaustive,
 }
 
-/// Cap on paths examined by [`Strategy::PathEnumeration`] before giving up
-/// (prevents pathological enumeration on infeasible-but-huge DAGs).
-pub const MAX_ENUMERATED_PATHS: usize = 100_000;
-
 /// Cap on Algorithm 1 edge removals (each removal costs one Dijkstra run;
-/// see `alg1::algorithm1_capped`).
+/// see [`astra_graph::alg1::algorithm1`]).
 pub const MAX_ALG1_REMOVALS: usize = 500;
-
-/// Extracts one metric from an edge (the objective or the constraint).
-type MetricFn = Box<dyn Fn(&crate::dag::EdgeMetrics) -> f64>;
 
 /// Tiny relative slack added to constraint bounds to make `<=`
 /// comparisons robust to the floating-point noise of summing edge metrics
@@ -50,69 +39,15 @@ type MetricFn = Box<dyn Fn(&crate::dag::EdgeMetrics) -> f64>;
 /// accepted path can overshoot a $1 budget by at most a few nano-dollars.
 const BOUND_EPS: f64 = 1e-9;
 
-/// Solve `objective` on a built DAG. Returns the chosen configuration, or
-/// `None` when no feasible configuration exists.
-pub fn solve_on_dag(dag: &PlannerDag, objective: Objective, strategy: Strategy) -> Option<JobConfig> {
-    let g = dag.graph();
-    let (src, dst) = (dag.source(), dag.sink());
-    // Primary weight and constraint metric per objective. Costs are
-    // converted to micro-dollars so both metrics have comparable scale.
-    let time = |m: &crate::dag::EdgeMetrics| m.time_s;
-    let cost = |m: &crate::dag::EdgeMetrics| m.cost_nanos as f64 * 1e-3; // micro-dollars
-
-    let (bound, primary, secondary): (f64, MetricFn, MetricFn) = match objective {
-            Objective::MinimizeTime { budget } => (
-                budget.nanos() as f64 * 1e-3,
-                Box::new(time),
-                Box::new(cost),
-            ),
-            Objective::MinimizeCost { deadline_s } => {
-                (deadline_s, Box::new(cost), Box::new(time))
-            }
-        };
-
-    let edges = match strategy {
-        Strategy::Algorithm1 => algorithm1_capped(
-            g,
-            src,
-            dst,
-            bound * (1.0 + BOUND_EPS) + BOUND_EPS,
-            MAX_ALG1_REMOVALS,
-            |_, m| primary(m),
-            |_, m| secondary(m),
-        )
-        .map(|sol| sol.path.edges),
-        Strategy::ExactCsp => constrained_shortest_path(
-            g,
-            src,
-            dst,
-            bound * (1.0 + BOUND_EPS) + BOUND_EPS,
-            |_, m| primary(m),
-            |_, m| secondary(m),
-        )
-        .map(|sol| sol.edges),
-        Strategy::PathEnumeration => {
-            let mut ksp = KShortestPaths::new(g, src, dst, |_, m| primary(m));
-            let mut found = None;
-            for _ in 0..MAX_ENUMERATED_PATHS {
-                match ksp.next() {
-                    Some(path) => {
-                        let used: f64 = path.edges.iter().map(|&e| secondary(g.edge(e))).sum();
-                        if used <= bound * (1.0 + BOUND_EPS) + BOUND_EPS {
-                            found = Some(path.edges);
-                            break;
-                        }
-                    }
-                    None => break,
-                }
-            }
-            found
-        }
-        Strategy::Exhaustive => {
-            unreachable!("Exhaustive does not run on the DAG; use solve_exhaustive")
-        }
-    }?;
-    Some(dag.config_for_path(&edges))
+/// The constraint bound a query searches under, in the solver's working
+/// unit (micro-dollars for budgets, seconds for deadlines), slackened by
+/// [`BOUND_EPS`].
+fn search_bound(objective: Objective) -> f64 {
+    let bound = match objective {
+        Objective::MinimizeTime { budget } => budget.nanos() as f64 * 1e-3,
+        Objective::MinimizeCost { deadline_s } => deadline_s,
+    };
+    bound * (1.0 + BOUND_EPS) + BOUND_EPS
 }
 
 /// Backward lower-bound potentials over a built planner DAG: per node,
@@ -120,143 +55,139 @@ pub fn solve_on_dag(dag: &PlannerDag, objective: Objective, strategy: Strategy) 
 /// (micro-dollars, the CSP's working unit) to the sink. Both are true
 /// minima — admissible and consistent for either objective orientation —
 /// so one computation serves every budget *and* deadline query against
-/// the same DAG (see [`solve_on_dag_with_potentials`]).
+/// the same DAG (see [`solve_on_dag`]).
+///
+/// They are the store's time-view potentials: weight = time, resource =
+/// cost.
 #[derive(Debug, Clone)]
-pub struct PlannerPotentials {
-    min_time_to: Vec<f64>,
-    min_cost_to: Vec<f64>,
-}
+pub struct PlannerPotentials(Potentials);
 
 impl PlannerPotentials {
     /// Compute both potentials in one reverse-topological sweep over the
-    /// DAG's flat SoA edge store (cost: one linear pass over the edge
-    /// arrays — same relaxation order, and therefore bit-identical
-    /// values, as the arena-walking closure path it replaced).
+    /// DAG's edge store (one linear pass over the edge arrays).
     pub fn compute(dag: &PlannerDag) -> PlannerPotentials {
-        let pots = dag_potentials_on(&mut dag.soa().time_view(), dag.sink().0)
-            .expect("planner graph is acyclic by construction");
-        PlannerPotentials {
-            min_time_to: pots.min_weight_to,
-            min_cost_to: pots.min_resource_to,
-        }
+        PlannerPotentials(
+            dag_potentials(&mut dag.graph().time_view(), dag.sink())
+                .expect("planner graph is acyclic by construction"),
+        )
     }
 
     /// Repair potentials after an in-place DAG recost, reusing this
     /// instance's values wherever `dirty_tails` proves they cannot have
-    /// moved (see `dag_potentials_resume_on` — the result is
+    /// moved (see `dag_potentials_resume` — the result is
     /// bit-identical to a fresh [`PlannerPotentials::compute`]).
     pub(crate) fn resume(&self, dag: &PlannerDag, dirty_tails: &[bool]) -> PlannerPotentials {
-        let prev = Potentials {
-            min_weight_to: self.min_time_to.clone(),
-            min_resource_to: self.min_cost_to.clone(),
-        };
-        let pots = dag_potentials_resume_on(
-            &mut dag.soa().time_view(),
-            dag.sink().0,
-            &prev,
-            dirty_tails,
+        let view = &mut dag.graph().time_view();
+        PlannerPotentials(
+            dag_potentials_resume(view, dag.sink(), &self.0, dirty_tails)
+                .expect("planner graph is acyclic by construction"),
         )
-        .expect("planner graph is acyclic by construction");
-        PlannerPotentials {
-            min_time_to: pots.min_weight_to,
-            min_cost_to: pots.min_resource_to,
-        }
     }
 
     /// Per-node minimum remaining time to the sink (seconds).
     pub fn min_time_to(&self) -> &[f64] {
-        &self.min_time_to
+        &self.0.min_weight_to
     }
 
     /// Per-node minimum remaining cost to the sink (micro-dollars).
     pub fn min_cost_to(&self) -> &[f64] {
-        &self.min_cost_to
+        &self.0.min_resource_to
     }
 }
 
-/// [`solve_on_dag`] accelerated by precomputed [`PlannerPotentials`].
+/// Solve `objective` on a built DAG with its [`PlannerPotentials`]:
+/// the planner's one solve path. Returns the chosen configuration, or
+/// `None` when no feasible configuration exists.
 ///
 /// [`Strategy::ExactCsp`] runs the A*-guided, bound- and
-/// incumbent-pruned label search over the DAG's flat SoA edge store
-/// (exactness argument in `astra_graph::csp`; answers bit-identical to
-/// the plain solver, which the equivalence suites gate).
-/// [`Strategy::Algorithm1`] reuses the time (or cost) potential as an
+/// incumbent-pruned label search over the DAG's edge store (exactness
+/// argument in `astra_graph::csp`; answers bit-identical to the unguided
+/// [`solve_reference_csp`], which the equivalence suites gate).
+/// [`Strategy::Algorithm1`] uses the time (or cost) potential as an
 /// admissible A* heuristic for every Dijkstra round of the paper's
 /// edge-removal loop — masking edges only raises distances, so one
-/// backward sweep serves all removals. The remaining strategies
-/// delegate to the plain solver unchanged. When `telemetry` is enabled,
+/// backward sweep serves all removals. When `telemetry` is enabled,
 /// label-search effort is reported through the `planner.csp.labels_*`
 /// counters and Algorithm 1 rounds through `planner.alg1.removals`.
-pub fn solve_on_dag_with_potentials(
+///
+/// Panics on [`Strategy::Exhaustive`], which never runs on the DAG
+/// (see [`solve_exhaustive`]).
+pub fn solve_on_dag(
     dag: &PlannerDag,
     potentials: &PlannerPotentials,
     objective: Objective,
     strategy: Strategy,
     telemetry: &astra_telemetry::Telemetry,
 ) -> Option<JobConfig> {
+    let g = dag.graph();
+    let (src, dst) = (dag.source(), dag.sink());
+    let (lb_time, lb_cost) = (potentials.min_time_to(), potentials.min_cost_to());
+    let bound = search_bound(objective);
     match strategy {
-        Strategy::ExactCsp => {}
+        Strategy::ExactCsp => {
+            let run = match objective {
+                Objective::MinimizeTime { .. } => constrained_shortest_path_with_bounds(
+                    &mut g.time_view(),
+                    src,
+                    dst,
+                    bound,
+                    lb_time,
+                    lb_cost,
+                ),
+                Objective::MinimizeCost { .. } => constrained_shortest_path_with_bounds(
+                    &mut g.cost_view(),
+                    src,
+                    dst,
+                    bound,
+                    lb_cost,
+                    lb_time,
+                ),
+            };
+            if telemetry.enabled() {
+                let s = run.stats;
+                telemetry.counter("planner.csp.labels_created", s.labels_created);
+                telemetry.counter("planner.csp.labels_settled", s.labels_settled);
+                telemetry.counter("planner.csp.labels_pruned", s.pruned_total());
+            }
+            run.solution.map(|sol| dag.config_for_path(&sol.edges))
+        }
         Strategy::Algorithm1 => {
-            let g = dag.graph();
-            let (src, dst) = (dag.source(), dag.sink());
             let sol = match objective {
-                Objective::MinimizeTime { budget } => algorithm1_guided_capped(
-                    g,
-                    src,
-                    dst,
-                    (budget.nanos() as f64 * 1e-3) * (1.0 + BOUND_EPS) + BOUND_EPS,
-                    MAX_ALG1_REMOVALS,
-                    &potentials.min_time_to,
-                    |_, m| m.time_s,
-                    |_, m| m.cost_nanos as f64 * 1e-3,
-                ),
-                Objective::MinimizeCost { deadline_s } => algorithm1_guided_capped(
-                    g,
-                    src,
-                    dst,
-                    deadline_s * (1.0 + BOUND_EPS) + BOUND_EPS,
-                    MAX_ALG1_REMOVALS,
-                    &potentials.min_cost_to,
-                    |_, m| m.cost_nanos as f64 * 1e-3,
-                    |_, m| m.time_s,
-                ),
+                Objective::MinimizeTime { .. } => {
+                    algorithm1(&mut g.time_view(), src, dst, bound, MAX_ALG1_REMOVALS, lb_time)
+                }
+                Objective::MinimizeCost { .. } => {
+                    algorithm1(&mut g.cost_view(), src, dst, bound, MAX_ALG1_REMOVALS, lb_cost)
+                }
             };
             if telemetry.enabled() {
                 if let Some(s) = &sol {
                     telemetry.counter("planner.alg1.removals", s.edges_removed as u64);
                 }
             }
-            return sol.map(|s| dag.config_for_path(&s.path.edges));
+            sol.map(|s| dag.config_for_path(&s.path.edges))
         }
-        _ => return solve_on_dag(dag, objective, strategy),
+        Strategy::Exhaustive => {
+            unreachable!("Exhaustive does not run on the DAG; use solve_exhaustive")
+        }
     }
-    let soa = dag.soa();
-    let (src, dst) = (dag.source().0, dag.sink().0);
-    let run = match objective {
-        Objective::MinimizeTime { budget } => constrained_shortest_path_with_bounds_on(
-            &mut soa.time_view(),
-            src,
-            dst,
-            (budget.nanos() as f64 * 1e-3) * (1.0 + BOUND_EPS) + BOUND_EPS,
-            &potentials.min_time_to,
-            &potentials.min_cost_to,
-        ),
-        Objective::MinimizeCost { deadline_s } => constrained_shortest_path_with_bounds_on(
-            &mut soa.cost_view(),
-            src,
-            dst,
-            deadline_s * (1.0 + BOUND_EPS) + BOUND_EPS,
-            &potentials.min_cost_to,
-            &potentials.min_time_to,
-        ),
-    };
-    if telemetry.enabled() {
-        let s = run.stats;
-        telemetry.counter("planner.csp.labels_created", s.labels_created);
-        telemetry.counter("planner.csp.labels_settled", s.labels_settled);
-        telemetry.counter("planner.csp.labels_pruned", s.pruned_total());
-    }
-    run.solution.map(|sol| dag.config_for_path(&sol.edges))
+}
+
+/// The unguided exact label search on `dag` — the reference the guided,
+/// potential-pruned [`solve_on_dag`] is checked against (prune and
+/// production-scale equivalence suites, `solve_exact_csp` bench row).
+pub fn solve_reference_csp(dag: &PlannerDag, objective: Objective) -> Option<JobConfig> {
+    let (g, src, dst) = (dag.graph(), dag.source(), dag.sink());
+    let bound = search_bound(objective);
+    let sol = match objective {
+        Objective::MinimizeTime { .. } => {
+            constrained_shortest_path(&mut g.time_view(), src, dst, bound)
+        }
+        Objective::MinimizeCost { .. } => {
+            constrained_shortest_path(&mut g.cost_view(), src, dst, bound)
+        }
+    }?;
+    Some(dag.config_for_path(&sol.edges))
 }
 
 /// Brute-force reference solver: evaluate every configuration in `space`
@@ -402,6 +333,12 @@ mod tests {
         (job, platform, catalog, space, dag)
     }
 
+    fn solve(dag: &PlannerDag, objective: Objective, strategy: Strategy) -> Option<JobConfig> {
+        let pots = PlannerPotentials::compute(dag);
+        let tel = astra_telemetry::Telemetry::disabled();
+        solve_on_dag(dag, &pots, objective, strategy, &tel)
+    }
+
     fn eval(
         job: &JobSpec,
         platform: &Platform,
@@ -417,11 +354,11 @@ mod tests {
         let (job, platform, catalog, space, dag) = setup(6, &[128, 512, 3008]);
         // Budget between the cheapest and the fastest configurations.
         for budget_frac in [1.1, 1.5, 3.0] {
-            let cheapest = solve_on_dag(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
+            let cheapest = solve(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
             let (_, min_cost) = eval(&job, &platform, &catalog, &cheapest);
             let budget = min_cost.scale(budget_frac);
             let objective = Objective::MinimizeTime { budget };
-            let got = solve_on_dag(&dag, objective, Strategy::ExactCsp).unwrap();
+            let got = solve(&dag, objective, Strategy::ExactCsp).unwrap();
             let want = solve_exhaustive(&job, &platform, &catalog, &space, objective).unwrap();
             let (gt, gc) = eval(&job, &platform, &catalog, &got);
             let (wt, _) = eval(&job, &platform, &catalog, &want);
@@ -433,13 +370,13 @@ mod tests {
     #[test]
     fn exact_csp_matches_exhaustive_min_cost() {
         let (job, platform, catalog, space, dag) = setup(6, &[128, 512, 3008]);
-        let fastest = solve_on_dag(&dag, Objective::fastest(), Strategy::ExactCsp).unwrap();
+        let fastest = solve(&dag, Objective::fastest(), Strategy::ExactCsp).unwrap();
         let (min_time, _) = eval(&job, &platform, &catalog, &fastest);
         for slack in [1.2, 2.0, 5.0] {
             let objective = Objective::MinimizeCost {
                 deadline_s: min_time * slack,
             };
-            let got = solve_on_dag(&dag, objective, Strategy::ExactCsp).unwrap();
+            let got = solve(&dag, objective, Strategy::ExactCsp).unwrap();
             let want = solve_exhaustive(&job, &platform, &catalog, &space, objective).unwrap();
             let (gt, gc) = eval(&job, &platform, &catalog, &got);
             let (_, wc) = eval(&job, &platform, &catalog, &want);
@@ -449,44 +386,27 @@ mod tests {
     }
 
     #[test]
-    fn path_enumeration_agrees_with_exact_csp() {
-        let (job, platform, catalog, _, dag) = setup(5, &[128, 1024]);
-        let cheapest = solve_on_dag(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
-        let (_, min_cost) = eval(&job, &platform, &catalog, &cheapest);
-        let objective = Objective::MinimizeTime {
-            budget: min_cost.scale(1.5),
-        };
-        let a = solve_on_dag(&dag, objective, Strategy::ExactCsp).unwrap();
-        let b = solve_on_dag(&dag, objective, Strategy::PathEnumeration).unwrap();
-        let (ta, _) = eval(&job, &platform, &catalog, &a);
-        let (tb, _) = eval(&job, &platform, &catalog, &b);
-        assert!((ta - tb).abs() < 1e-9);
-    }
-
-    #[test]
     fn algorithm1_finds_a_feasible_plan() {
         let (job, platform, catalog, _, dag) = setup(6, &[128, 512, 3008]);
-        let cheapest = solve_on_dag(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
+        let cheapest = solve(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
         let (_, min_cost) = eval(&job, &platform, &catalog, &cheapest);
         let budget = min_cost.scale(1.5);
         let objective = Objective::MinimizeTime { budget };
-        let got = solve_on_dag(&dag, objective, Strategy::Algorithm1).unwrap();
+        let got = solve(&dag, objective, Strategy::Algorithm1).unwrap();
         let (_, gc) = eval(&job, &platform, &catalog, &got);
         assert!(gc <= budget);
         // And it can never beat the exact optimum.
-        let exact = solve_on_dag(&dag, objective, Strategy::ExactCsp).unwrap();
+        let exact = solve(&dag, objective, Strategy::ExactCsp).unwrap();
         let (te, _) = eval(&job, &platform, &catalog, &exact);
         let (tg, _) = eval(&job, &platform, &catalog, &got);
         assert!(tg >= te - 1e-9);
     }
 
     #[test]
-    fn potentials_solver_matches_plain_solver_on_both_objectives() {
+    fn guided_solver_matches_the_reference_on_both_objectives() {
         let (job, platform, catalog, _, dag) = setup(6, &[128, 512, 3008]);
-        let pots = PlannerPotentials::compute(&dag);
-        let tel = astra_telemetry::Telemetry::disabled();
-        let cheapest = solve_on_dag(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
-        let fastest = solve_on_dag(&dag, Objective::fastest(), Strategy::ExactCsp).unwrap();
+        let cheapest = solve_reference_csp(&dag, Objective::cheapest()).unwrap();
+        let fastest = solve_reference_csp(&dag, Objective::fastest()).unwrap();
         let (_, min_cost) = eval(&job, &platform, &catalog, &cheapest);
         let (min_time, _) = eval(&job, &platform, &catalog, &fastest);
         for frac in [1.0, 1.05, 1.3, 2.0, 10.0] {
@@ -494,16 +414,16 @@ mod tests {
                 budget: min_cost.scale(frac),
             };
             assert_eq!(
-                solve_on_dag_with_potentials(&dag, &pots, o, Strategy::ExactCsp, &tel),
-                solve_on_dag(&dag, o, Strategy::ExactCsp),
+                solve(&dag, o, Strategy::ExactCsp),
+                solve_reference_csp(&dag, o),
                 "min-time at budget x{frac}"
             );
             let o = Objective::MinimizeCost {
                 deadline_s: min_time * frac,
             };
             assert_eq!(
-                solve_on_dag_with_potentials(&dag, &pots, o, Strategy::ExactCsp, &tel),
-                solve_on_dag(&dag, o, Strategy::ExactCsp),
+                solve(&dag, o, Strategy::ExactCsp),
+                solve_reference_csp(&dag, o),
                 "min-cost at deadline x{frac}"
             );
         }
@@ -511,49 +431,34 @@ mod tests {
         let o = Objective::MinimizeTime {
             budget: Money::from_nanos(1),
         };
-        assert!(solve_on_dag_with_potentials(&dag, &pots, o, Strategy::ExactCsp, &tel).is_none());
+        assert!(solve(&dag, o, Strategy::ExactCsp).is_none());
+        assert!(solve_reference_csp(&dag, o).is_none());
     }
 
     #[test]
-    fn guided_algorithm1_matches_plain_on_the_test_dag() {
+    fn guided_algorithm1_matches_zero_bounds_on_the_test_dag() {
         let (job, platform, catalog, _, dag) = setup(6, &[128, 512, 3008]);
-        let pots = PlannerPotentials::compute(&dag);
-        let tel = astra_telemetry::Telemetry::disabled();
-        let cheapest = solve_on_dag(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
+        let cheapest = solve(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
         let (_, min_cost) = eval(&job, &platform, &catalog, &cheapest);
+        let zero = vec![0.0; dag.graph().node_count()];
         for frac in [1.1, 1.5, 3.0] {
             let o = Objective::MinimizeTime {
                 budget: min_cost.scale(frac),
             };
-            assert_eq!(
-                solve_on_dag_with_potentials(&dag, &pots, o, Strategy::Algorithm1, &tel),
-                solve_on_dag(&dag, o, Strategy::Algorithm1),
-                "budget x{frac}"
-            );
+            let plain = algorithm1(
+                &mut dag.graph().time_view(),
+                dag.source(),
+                dag.sink(),
+                search_bound(o),
+                MAX_ALG1_REMOVALS,
+                &zero,
+            )
+            .map(|s| dag.config_for_path(&s.path.edges));
+            assert_eq!(solve(&dag, o, Strategy::Algorithm1), plain, "budget x{frac}");
         }
         let o = Objective::MinimizeTime {
             budget: Money::from_nanos(1),
         };
-        assert!(
-            solve_on_dag_with_potentials(&dag, &pots, o, Strategy::Algorithm1, &tel).is_none()
-        );
-    }
-
-    #[test]
-    fn impossible_budget_returns_none() {
-        let (_, _, _, _, dag) = setup(4, &[128]);
-        let objective = Objective::MinimizeTime {
-            budget: Money::from_nanos(1),
-        };
-        for strategy in [Strategy::Algorithm1, Strategy::ExactCsp, Strategy::PathEnumeration] {
-            assert!(solve_on_dag(&dag, objective, strategy).is_none(), "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn unconstrained_solutions_exist() {
-        let (_, _, _, _, dag) = setup(4, &[128, 1024]);
-        assert!(solve_on_dag(&dag, Objective::fastest(), Strategy::ExactCsp).is_some());
-        assert!(solve_on_dag(&dag, Objective::cheapest(), Strategy::ExactCsp).is_some());
+        assert!(solve(&dag, o, Strategy::Algorithm1).is_none());
     }
 }

@@ -34,7 +34,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::graph::{DiGraph, EdgeId, NodeId};
+use crate::EdgeId;
 
 /// Relative slack for dominance and bound comparisons: `a` counts as
 /// `<= b` when `a <= b + REL_TOL * |b|`. Scale-free, unlike the absolute
@@ -104,17 +104,14 @@ pub struct Potentials {
 }
 
 /// Abstract out-edge expansion over a two-metric graph. The label core,
-/// the potentials DP and the greedy incumbent descent are generic over
-/// this, so one monomorphized implementation serves both a [`DiGraph`]
-/// with metric closures and the planner's flat CSR (struct-of-arrays)
-/// edge store, which iterates linearly over `times`/`costs` slices
-/// instead of chasing per-node list pointers.
+/// the potentials DP, the greedy incumbent descent and the Dijkstra in
+/// [`crate::dijkstra`] are generic over this; the planner's flat CSR
+/// (struct-of-arrays) edge store implements it by iterating linearly
+/// over its `times`/`costs` slices.
 ///
 /// Implementations must yield a node's out-edges in a **fixed canonical
 /// order** — every exact tie in the search is broken by expansion order,
-/// so two stores that claim bit-identical answers must expand
-/// identically (the planner's CSR mirrors `DiGraph::out_edges` order for
-/// exactly this reason).
+/// so answers are only reproducible if expansion order is.
 pub trait EdgeExpand {
     /// Number of nodes; ids are dense in `0..node_count()`.
     fn node_count(&self) -> usize;
@@ -125,96 +122,26 @@ pub trait EdgeExpand {
     fn topo_order(&self) -> Option<Vec<u32>>;
 }
 
-/// The [`DiGraph`]-backed store: metric closures evaluated on intrusive
-/// adjacency lists (most-recently-added first, as [`DiGraph::out_edges`]
-/// iterates).
-struct ClosureExpand<'g, N, E, W, R> {
-    g: &'g DiGraph<N, E>,
-    weight: W,
-    resource: R,
-}
-
-impl<N, E, W, R> EdgeExpand for ClosureExpand<'_, N, E, W, R>
-where
-    W: FnMut(EdgeId, &E) -> f64,
-    R: FnMut(EdgeId, &E) -> f64,
-{
-    fn node_count(&self) -> usize {
-        self.g.node_count()
-    }
-
-    fn for_each_out(&mut self, v: u32, mut f: impl FnMut(EdgeId, u32, f64, f64)) {
-        for (eid, payload) in self.g.out_edges(NodeId(v)) {
-            let (_, head) = self.g.endpoints(eid);
-            let w = (self.weight)(eid, payload);
-            let r = (self.resource)(eid, payload);
-            f(eid, head.0, w, r);
-        }
-    }
-
-    fn topo_order(&self) -> Option<Vec<u32>> {
-        Some(
-            self.g
-                .topological_order()?
-                .into_iter()
-                .map(|n| n.0)
-                .collect(),
-        )
-    }
-}
-
 /// Compute backward potentials to `target` over a DAG: the minimum
 /// remaining weight and minimum remaining resource from every node, via
 /// one dynamic-programming sweep in reverse topological order (the
-/// graph stores no in-edges, so this replaces two reverse Dijkstra runs
+/// store keeps no in-edges, so this replaces two reverse Dijkstra runs
 /// at strictly lower cost). Returns `None` if the graph has a cycle.
 ///
 /// Both bounds are admissible (true minima) and consistent
 /// (`lb(u) <= w(u→v) + lb(v)` holds by construction), which is what the
 /// pruning in [`constrained_shortest_path_with_bounds`] relies on.
-pub fn dag_potentials<N, E>(
-    g: &DiGraph<N, E>,
-    target: NodeId,
-    weight: impl FnMut(EdgeId, &E) -> f64,
-    resource: impl FnMut(EdgeId, &E) -> f64,
-) -> Option<Potentials> {
-    dag_potentials_on(
-        &mut ClosureExpand {
-            g,
-            weight,
-            resource,
-        },
-        target.0,
-    )
-}
-
-/// [`dag_potentials`] over any [`EdgeExpand`] store.
-pub fn dag_potentials_on<X: EdgeExpand>(g: &mut X, target: u32) -> Option<Potentials> {
-    let order = g.topo_order()?;
+///
+/// This is [`dag_potentials_resume`] with nothing known: every node is
+/// recomputed, each after all its successors (reverse topological
+/// order), so one relaxation per edge suffices.
+pub fn dag_potentials<X: EdgeExpand>(g: &mut X, target: u32) -> Option<Potentials> {
     let n = g.node_count();
-    let mut min_weight_to = vec![f64::INFINITY; n];
-    let mut min_resource_to = vec![f64::INFINITY; n];
-    min_weight_to[target as usize] = 0.0;
-    min_resource_to[target as usize] = 0.0;
-    // Visiting u after all its successors makes one relaxation per edge
-    // sufficient; reverse topological order guarantees exactly that.
-    for &u in order.iter().rev() {
-        let ui = u as usize;
-        g.for_each_out(u, |_, v, ew, er| {
-            let w = ew + min_weight_to[v as usize];
-            let r = er + min_resource_to[v as usize];
-            if w < min_weight_to[ui] {
-                min_weight_to[ui] = w;
-            }
-            if r < min_resource_to[ui] {
-                min_resource_to[ui] = r;
-            }
-        });
-    }
-    Some(Potentials {
-        min_weight_to,
-        min_resource_to,
-    })
+    let unknown = Potentials {
+        min_weight_to: vec![f64::INFINITY; n],
+        min_resource_to: vec![f64::INFINITY; n],
+    };
+    dag_potentials_resume(g, target, &unknown, &vec![true; n])
 }
 
 /// Repair backward potentials after an in-place edge-weight patch,
@@ -222,14 +149,13 @@ pub fn dag_potentials_on<X: EdgeExpand>(g: &mut X, target: u32) -> Option<Potent
 ///
 /// `dirty_tails[u]` marks nodes whose *out-edge* weights may have
 /// changed. The sweep walks the same reverse topological order as
-/// [`dag_potentials_on`]; a node is recomputed when it is a dirty tail
+/// [`dag_potentials`]; a node is recomputed when it is a dirty tail
 /// or when any successor's potentials changed, otherwise its previous
-/// values are kept verbatim. Recomputation folds edges in the exact
-/// order of the full DP, so the result is bit-identical to running
-/// [`dag_potentials_on`] from scratch on the patched graph (marking
-/// every node dirty degenerates to exactly that). Returns `None` on a
-/// cycle or when `prev`'s length does not match the graph.
-pub fn dag_potentials_resume_on<X: EdgeExpand>(
+/// values are kept verbatim. Recomputation folds a node's edges in
+/// slot order, so the result is bit-identical to running
+/// [`dag_potentials`] from scratch on the patched graph. Returns `None`
+/// on a cycle or when `prev`'s length does not match the graph.
+pub fn dag_potentials_resume<X: EdgeExpand>(
     g: &mut X,
     target: u32,
     prev: &Potentials,
@@ -346,23 +272,18 @@ impl Ord for HeapItem {
 /// `target` is optimal. Dominance pruning keeps per-node Pareto frontiers
 /// small — on Astra's layered DAGs (≤ 6 hops) frontiers stay tiny.
 ///
-/// Returns `None` when no feasible path exists. See
-/// [`constrained_shortest_path_with_bounds`] for the potential-guided
-/// variant used on repeated planner queries.
-pub fn constrained_shortest_path<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
+/// Returns `None` when no feasible path exists. This unguided search is
+/// the reference the potential-guided
+/// [`constrained_shortest_path_with_bounds`] (the planner's solver) is
+/// checked against.
+pub fn constrained_shortest_path<X: EdgeExpand>(
+    g: &mut X,
+    source: u32,
+    target: u32,
     bound: f64,
-    weight: impl FnMut(EdgeId, &E) -> f64,
-    resource: impl FnMut(EdgeId, &E) -> f64,
 ) -> Option<CspSolution> {
-    let mut x = ClosureExpand {
-        g,
-        weight,
-        resource,
-    };
-    csp_core(&mut x, source.0, target.0, bound, Unguided, f64::INFINITY).solution
+    let zero = vec![0.0; g.node_count()];
+    csp_core(g, source, target, bound, &zero, &zero, f64::INFINITY).solution
 }
 
 /// [`constrained_shortest_path`] accelerated by precomputed backward
@@ -376,31 +297,9 @@ pub fn constrained_shortest_path<N, E>(
 /// expansion and the first label settled at `target` still carries the
 /// lexicographic-minimum `(weight, resource)` — identical to the plain
 /// search (equivalence is property-tested). `lb_weight`/`lb_resource`
-/// must come from [`dag_potentials`] over the *same* metric closures
+/// must come from [`dag_potentials`] over the *same* store orientation
 /// (swap the two slices to answer the dual objective from one sweep).
-#[allow(clippy::too_many_arguments)]
-pub fn constrained_shortest_path_with_bounds<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    bound: f64,
-    weight: impl FnMut(EdgeId, &E) -> f64,
-    resource: impl FnMut(EdgeId, &E) -> f64,
-    lb_weight: &[f64],
-    lb_resource: &[f64],
-) -> CspRun {
-    let mut x = ClosureExpand {
-        g,
-        weight,
-        resource,
-    };
-    constrained_shortest_path_with_bounds_on(&mut x, source.0, target.0, bound, lb_weight, lb_resource)
-}
-
-/// [`constrained_shortest_path_with_bounds`] over any [`EdgeExpand`]
-/// store: same feasibility short-circuit, greedy incumbent and guided
-/// label search, bit-identical answers for an identically-ordered store.
-pub fn constrained_shortest_path_with_bounds_on<X: EdgeExpand>(
+pub fn constrained_shortest_path_with_bounds<X: EdgeExpand>(
     g: &mut X,
     source: u32,
     target: u32,
@@ -425,70 +324,24 @@ pub fn constrained_shortest_path_with_bounds_on<X: EdgeExpand>(
         source,
         target,
         bound,
-        Guided {
-            lb_w: lb_weight,
-            lb_r: lb_resource,
-        },
+        lb_weight,
+        lb_resource,
         best_known,
     )
 }
 
-/// Compile-time switch between the plain lexicographic search and the
-/// potential-guided one, so the plain hot path carries no lookups, no
-/// zero-adds, and no incumbent check (the label search runs millions of
-/// edge relaxations per planner solve — a runtime `Option` on this path
-/// measurably slows the unguided case).
-trait Guide {
-    /// Whether real lower bounds exist (drives dead-code elimination).
-    const GUIDED: bool;
-    /// Admissible lower bound on the remaining weight from `v`.
-    fn lb_w(&self, v: u32) -> f64;
-    /// Admissible lower bound on the remaining resource from `v`.
-    fn lb_r(&self, v: u32) -> f64;
-}
-
-/// Zero lower bounds: the classic lexicographic (weight, resource) search.
-struct Unguided;
-impl Guide for Unguided {
-    const GUIDED: bool = false;
-    #[inline]
-    fn lb_w(&self, _: u32) -> f64 {
-        0.0
-    }
-    #[inline]
-    fn lb_r(&self, _: u32) -> f64 {
-        0.0
-    }
-}
-
-/// Potentials from [`dag_potentials`]: the A*-guided, pruned search.
-struct Guided<'a> {
-    lb_w: &'a [f64],
-    lb_r: &'a [f64],
-}
-impl Guide for Guided<'_> {
-    const GUIDED: bool = true;
-    #[inline]
-    fn lb_w(&self, v: u32) -> f64 {
-        self.lb_w[v as usize]
-    }
-    #[inline]
-    fn lb_r(&self, v: u32) -> f64 {
-        self.lb_r[v as usize]
-    }
-}
-
-/// Shared label-setting core, monomorphized per [`Guide`]. With
-/// [`Unguided`] this is the classic lexicographic (weight, resource)
-/// search; with [`Guided`] it becomes the A*-ordered, pruned search.
-/// Either way the settled optimum is the same (see
-/// `constrained_shortest_path_with_bounds` docs for the argument).
-fn csp_core<X: EdgeExpand, G: Guide>(
+/// Shared label-setting core. With all-zero lower bounds and no
+/// incumbent (`best_known = INFINITY`) this is the classic lexicographic
+/// (weight, resource) search; with real potentials it becomes the
+/// A*-ordered, pruned search. Either way the settled optimum is the same
+/// (see `constrained_shortest_path_with_bounds` docs for the argument).
+fn csp_core<X: EdgeExpand>(
     g: &mut X,
     source: u32,
     target: u32,
     bound: f64,
-    guide: G,
+    lb_w: &[f64],
+    lb_r: &[f64],
     best_known: f64,
 ) -> CspRun {
     let n = g.node_count();
@@ -508,8 +361,8 @@ fn csp_core<X: EdgeExpand, G: Guide>(
         pred: None,
     });
     heap.push(HeapItem {
-        prio_w: if G::GUIDED { guide.lb_w(source) } else { 0.0 },
-        prio_r: if G::GUIDED { guide.lb_r(source) } else { 0.0 },
+        prio_w: lb_w[source as usize],
+        prio_r: lb_r[source as usize],
         label_idx: 0,
     });
     stats.labels_created += 1;
@@ -556,13 +409,13 @@ fn csp_core<X: EdgeExpand, G: Guide>(
             // Optimistic completion: admissible bounds mean these checks
             // can only discard labels that provably cannot finish
             // feasibly (resource) or optimally (weight).
-            let pr = if G::GUIDED { nr + guide.lb_r(v) } else { nr };
+            let pr = nr + lb_r[v as usize];
             if !le_tol(pr, bound) {
                 stats.pruned_bound += 1;
                 return;
             }
-            let pw = if G::GUIDED { nw + guide.lb_w(v) } else { nw };
-            if G::GUIDED && !le_tol(pw, best_known) {
+            let pw = nw + lb_w[v as usize];
+            if !le_tol(pw, best_known) {
                 stats.pruned_upper_bound += 1;
                 return;
             }
@@ -632,86 +485,107 @@ fn greedy_descent_bound<X: EdgeExpand>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_graph::TestGraph;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
+    /// The unguided reference search (its answer only).
+    fn plain(g: &mut TestGraph, s: u32, t: u32, bound: f64) -> Option<CspSolution> {
+        constrained_shortest_path(g, s, t, bound)
+    }
+
+    fn potentials(g: &mut TestGraph, t: u32) -> Potentials {
+        dag_potentials(g, t).expect("acyclic")
+    }
+
+    fn guided(g: &mut TestGraph, s: u32, t: u32, bound: f64, pot: &Potentials) -> CspRun {
+        constrained_shortest_path_with_bounds(
+            g,
+            s,
+            t,
+            bound,
+            &pot.min_weight_to,
+            &pot.min_resource_to,
+        )
+    }
+
     /// Two-metric diamond where the cheapest path violates the bound.
+    fn diamond() -> (TestGraph, u32, u32) {
+        let mut g = TestGraph::default();
+        let [s, a, b, t] = [g.add_node(), g.add_node(), g.add_node(), g.add_node()];
+        // Fast but costly: weight 2, resource 10.
+        g.add_edge(s, a, 1.0, 5.0);
+        g.add_edge(a, t, 1.0, 5.0);
+        // Slow but cheap: weight 6, resource 2.
+        g.add_edge(s, b, 3.0, 1.0);
+        g.add_edge(b, t, 3.0, 1.0);
+        (g, s, t)
+    }
+
     #[test]
     fn constraint_forces_the_expensive_path() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let t = g.add_node(());
-        // Fast but costly: weight 2, resource 10.
-        g.add_edge(s, a, (1.0, 5.0));
-        g.add_edge(a, t, (1.0, 5.0));
-        // Slow but cheap: weight 6, resource 2.
-        g.add_edge(s, b, (3.0, 1.0));
-        g.add_edge(b, t, (3.0, 1.0));
-
-        let sol = constrained_shortest_path(&g, s, t, 4.0, |_, e| e.0, |_, e| e.1).unwrap();
+        let (mut g, s, t) = diamond();
+        let sol = plain(&mut g, s, t, 4.0).unwrap();
         assert_eq!(sol.weight, 6.0);
         assert_eq!(sol.resource, 2.0);
-
-        let unbounded =
-            constrained_shortest_path(&g, s, t, f64::INFINITY, |_, e| e.0, |_, e| e.1).unwrap();
+        let unbounded = plain(&mut g, s, t, f64::INFINITY).unwrap();
         assert_eq!(unbounded.weight, 2.0);
     }
 
     #[test]
-    fn infeasible_returns_none() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let t = g.add_node(());
-        g.add_edge(s, t, (1.0, 100.0));
-        assert!(
-            constrained_shortest_path(&g, s, t, 50.0, |_, e| e.0, |_, e| e.1).is_none()
-        );
-    }
-
-    #[test]
-    fn exact_bound_is_feasible() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let t = g.add_node(());
-        g.add_edge(s, t, (1.0, 100.0));
-        let sol = constrained_shortest_path(&g, s, t, 100.0, |_, e| e.0, |_, e| e.1);
-        assert!(sol.is_some());
+    fn the_bound_itself_is_feasible_and_above_it_is_not() {
+        let mut g = TestGraph::default();
+        let (s, t) = (g.add_node(), g.add_node());
+        g.add_edge(s, t, 1.0, 100.0);
+        assert!(plain(&mut g, s, t, 100.0).is_some());
+        assert!(plain(&mut g, s, t, 50.0).is_none());
     }
 
     #[test]
     fn source_is_target() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let sol = constrained_shortest_path(&g, s, s, 0.0, |_, e| e.0, |_, e| e.1).unwrap();
+        let mut g = TestGraph::default();
+        let s = g.add_node();
+        let sol = plain(&mut g, s, s, 0.0).unwrap();
         assert_eq!(sol.weight, 0.0);
         assert!(sol.edges.is_empty());
     }
 
-    /// Random layered DAG for the potentials-resume tests: edges only
-    /// go from lower to higher node id, so the graph is acyclic.
-    fn random_dag(rng: &mut StdRng, n: usize) -> DiGraph<(), (f64, f64)> {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
-        for i in 0..n {
-            for j in (i + 1)..n {
+    /// Random DAG for the potentials-resume tests: edges only go from
+    /// lower to higher node id, so the graph is acyclic.
+    fn random_dag(rng: &mut StdRng, n: usize) -> TestGraph {
+        let mut g = TestGraph::default();
+        for _ in 0..n {
+            g.add_node();
+        }
+        for i in 0..n as u32 {
+            for j in (i + 1)..n as u32 {
                 if rng.random_range(0..3) == 0 {
                     let w = rng.random_range(1..1000) as f64 / 7.0;
                     let r = rng.random_range(1..1000) as f64 / 11.0;
-                    g.add_edge(ids[i], ids[j], (w, r));
+                    g.add_edge(i, j, w, r);
                 }
             }
         }
         // Guarantee sink reachability from every node.
-        for i in 0..n - 1 {
-            g.add_edge(ids[i], ids[n - 1], (1e6, 1e6));
+        for i in 0..n as u32 - 1 {
+            g.add_edge(i, n as u32 - 1, 1e6, 1e6);
         }
         g
     }
 
-    fn full_potentials(g: &DiGraph<(), (f64, f64)>, target: NodeId) -> Potentials {
-        dag_potentials(g, target, |_, e| e.0, |_, e| e.1).unwrap()
+    fn assert_potentials_bit_identical(a: &Potentials, b: &Potentials, context: &str) {
+        for u in 0..a.min_weight_to.len() {
+            assert_eq!(
+                a.min_weight_to[u].to_bits(),
+                b.min_weight_to[u].to_bits(),
+                "{context} node {u} weight"
+            );
+            assert_eq!(
+                a.min_resource_to[u].to_bits(),
+                b.min_resource_to[u].to_bits(),
+                "{context} node {u} resource"
+            );
+        }
     }
 
     /// Resuming with every tail marked dirty degenerates to the full DP.
@@ -721,38 +595,18 @@ mod tests {
         for trial in 0..20 {
             let n = 4 + (trial % 13);
             let mut g = random_dag(&mut rng, n);
-            let target = NodeId(n as u32 - 1);
-            let prev = full_potentials(&g, target);
+            let target = n as u32 - 1;
+            let prev = potentials(&mut g, target);
             // Perturb a handful of edges in place.
-            for e in 0..g.edge_count() {
+            for e in 0..g.edge_count() as u32 {
                 if rng.random_range(0..2) == 0 {
-                    let (w, r) = *g.edge(EdgeId(e as u32));
-                    *g.edge_mut(EdgeId(e as u32)) = (w * 1.5 + 0.25, r * 0.5 + 0.5);
+                    let (w, r) = g.metrics(EdgeId(e));
+                    g.set_metrics(EdgeId(e), w * 1.5 + 0.25, r * 0.5 + 0.5);
                 }
             }
-            let dirty = vec![true; n];
-            let resumed = dag_potentials_resume_on(
-                &mut ClosureExpand {
-                    g: &g,
-                    weight: |_, e: &(f64, f64)| e.0,
-                    resource: |_, e: &(f64, f64)| e.1,
-                },
-                target.0,
-                &prev,
-                &dirty,
-            )
-            .unwrap();
-            let fresh = full_potentials(&g, target);
-            for u in 0..n {
-                assert_eq!(
-                    resumed.min_weight_to[u].to_bits(),
-                    fresh.min_weight_to[u].to_bits()
-                );
-                assert_eq!(
-                    resumed.min_resource_to[u].to_bits(),
-                    fresh.min_resource_to[u].to_bits()
-                );
-            }
+            let resumed = dag_potentials_resume(&mut g, target, &prev, &vec![true; n]).unwrap();
+            let fresh = potentials(&mut g, target);
+            assert_potentials_bit_identical(&resumed, &fresh, &format!("trial {trial}"));
         }
     }
 
@@ -764,44 +618,23 @@ mod tests {
         for trial in 0..40 {
             let n = 5 + (trial % 11);
             let mut g = random_dag(&mut rng, n);
-            let target = NodeId(n as u32 - 1);
-            let prev = full_potentials(&g, target);
+            let target = n as u32 - 1;
+            let prev = potentials(&mut g, target);
             // Patch the out-edges of a random subset of tails.
             let mut dirty = vec![false; n];
             for (u, tail_dirty) in dirty.iter_mut().enumerate().take(n - 1) {
                 if rng.random_range(0..3) == 0 {
                     *tail_dirty = true;
-                    let eids: Vec<EdgeId> = g.out_edges(NodeId(u as u32)).map(|(e, _)| e).collect();
+                    let eids: Vec<EdgeId> = g.out_edges(u as u32).collect();
                     for eid in eids {
-                        let (w, r) = *g.edge(eid);
-                        *g.edge_mut(eid) = (w + 3.5, (r - 0.25).abs());
+                        let (w, r) = g.metrics(eid);
+                        g.set_metrics(eid, w + 3.5, (r - 0.25).abs());
                     }
                 }
             }
-            let resumed = dag_potentials_resume_on(
-                &mut ClosureExpand {
-                    g: &g,
-                    weight: |_, e: &(f64, f64)| e.0,
-                    resource: |_, e: &(f64, f64)| e.1,
-                },
-                target.0,
-                &prev,
-                &dirty,
-            )
-            .unwrap();
-            let fresh = full_potentials(&g, target);
-            for u in 0..n {
-                assert_eq!(
-                    resumed.min_weight_to[u].to_bits(),
-                    fresh.min_weight_to[u].to_bits(),
-                    "trial {trial} node {u} weight"
-                );
-                assert_eq!(
-                    resumed.min_resource_to[u].to_bits(),
-                    fresh.min_resource_to[u].to_bits(),
-                    "trial {trial} node {u} resource"
-                );
-            }
+            let resumed = dag_potentials_resume(&mut g, target, &prev, &dirty).unwrap();
+            let fresh = potentials(&mut g, target);
+            assert_potentials_bit_identical(&resumed, &fresh, &format!("trial {trial}"));
         }
     }
 
@@ -813,25 +646,23 @@ mod tests {
     #[test]
     fn near_tied_resources_at_large_scale_use_relative_tolerance() {
         let bound = 1e9;
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let t = g.add_node(());
+        let mut g = TestGraph::default();
+        let (s, t) = (g.add_node(), g.add_node());
         // Within float noise of the bound (3e-13 relative, ~3e-4
         // absolute): feasible under REL_TOL, "infeasible" under the old
         // absolute 1e-12 check.
-        g.add_edge(s, t, (5.0, bound * (1.0 + 3e-13)));
+        g.add_edge(s, t, 5.0, bound * (1.0 + 3e-13));
         // Clearly under the bound but much slower: the fallback the old
         // epsilon would have wrongly selected.
-        g.add_edge(s, t, (50.0, 0.5e9));
-        let sol = constrained_shortest_path(&g, s, t, bound, |_, e| e.0, |_, e| e.1).unwrap();
+        g.add_edge(s, t, 50.0, 0.5e9);
+        let sol = plain(&mut g, s, t, bound).unwrap();
         assert_eq!(sol.weight, 5.0, "noise-level overshoot must stay feasible");
 
         // A real violation (0.1% over) is still infeasible.
-        let mut g2: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s2 = g2.add_node(());
-        let t2 = g2.add_node(());
-        g2.add_edge(s2, t2, (5.0, bound * 1.001));
-        assert!(constrained_shortest_path(&g2, s2, t2, bound, |_, e| e.0, |_, e| e.1).is_none());
+        let mut g2 = TestGraph::default();
+        let (s2, t2) = (g2.add_node(), g2.add_node());
+        g2.add_edge(s2, t2, 5.0, bound * 1.001);
+        assert!(plain(&mut g2, s2, t2, bound).is_none());
     }
 
     /// Near-tied *dominance* at large scale: a slightly-heavier label
@@ -839,82 +670,57 @@ mod tests {
     /// frontiers tight without changing which optimum is returned.
     #[test]
     fn near_tied_dominance_prunes_noise_level_duplicates() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let m = g.add_node(());
-        let t = g.add_node(());
+        let mut g = TestGraph::default();
+        let [s, m, t] = [g.add_node(), g.add_node(), g.add_node()];
         let w = 1e9;
-        g.add_edge(s, m, (w, 1.0));
-        g.add_edge(s, m, (w * (1.0 + 1e-13), 1.0)); // noise-level twin
-        g.add_edge(m, t, (1.0, 1.0));
-        let sol = constrained_shortest_path(&g, s, t, 10.0, |_, e| e.0, |_, e| e.1).unwrap();
+        g.add_edge(s, m, w, 1.0);
+        g.add_edge(s, m, w * (1.0 + 1e-13), 1.0); // noise-level twin
+        g.add_edge(m, t, 1.0, 1.0);
+        let sol = plain(&mut g, s, t, 10.0).unwrap();
         assert_eq!(sol.weight, w + 1.0);
     }
 
     /// Exhaustive DFS reference for randomized cross-checks.
-    fn brute_force(
-        g: &DiGraph<(), (f64, f64)>,
-        s: NodeId,
-        t: NodeId,
-        bound: f64,
-    ) -> Option<(f64, f64)> {
-        #[allow(clippy::too_many_arguments)]
-        fn dfs(
-            g: &DiGraph<(), (f64, f64)>,
-            u: NodeId,
-            t: NodeId,
-            bound: f64,
-            w: f64,
-            r: f64,
-            visited: &mut Vec<bool>,
-            best: &mut Option<(f64, f64)>,
-        ) {
+    fn brute_force(g: &TestGraph, s: u32, t: u32, bound: f64) -> Option<(f64, f64)> {
+        type Best = Option<(f64, f64)>;
+        fn dfs(g: &TestGraph, u: u32, t: u32, bound: f64, w: f64, r: f64, best: &mut Best) {
             if r > bound + 1e-12 {
                 return;
             }
             if u == t {
-                if best.is_none() || w < best.unwrap().0 {
+                if best.is_none_or(|(bw, _)| w < bw) {
                     *best = Some((w, r));
                 }
                 return;
             }
-            visited[u.0 as usize] = true;
-            for (eid, &(ew, er)) in g.out_edges(u) {
-                let (_, v) = g.endpoints(eid);
-                if !visited[v.0 as usize] {
-                    dfs(g, v, t, bound, w + ew, r + er, visited, best);
-                }
+            for e in g.out_edges(u) {
+                let (ew, er) = g.metrics(e);
+                dfs(g, g.endpoints(e).1, t, bound, w + ew, r + er, best);
             }
-            visited[u.0 as usize] = false;
         }
         let mut best = None;
-        let mut visited = vec![false; g.node_count()];
-        dfs(g, s, t, bound, 0.0, 0.0, &mut visited, &mut best);
+        dfs(g, s, t, bound, 0.0, 0.0, &mut best);
         best
     }
 
     /// Random layered DAG like the planner's: 4 layers, 2-4 nodes each.
-    fn random_layered_dag(rng: &mut StdRng) -> (DiGraph<(), (f64, f64)>, NodeId, NodeId) {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
+    fn random_layered_dag(rng: &mut StdRng) -> (TestGraph, u32, u32) {
+        let mut g = TestGraph::default();
+        let s = g.add_node();
         let mut prev = vec![s];
         for _ in 0..4 {
             let k = rng.random_range(2..5usize);
-            let layer: Vec<NodeId> = (0..k).map(|_| g.add_node(())).collect();
+            let layer: Vec<u32> = (0..k).map(|_| g.add_node()).collect();
             for &u in &prev {
                 for &v in &layer {
-                    g.add_edge(
-                        u,
-                        v,
-                        (rng.random_range(0.0..5.0), rng.random_range(0.0..5.0)),
-                    );
+                    g.add_edge(u, v, rng.random_range(0.0..5.0), rng.random_range(0.0..5.0));
                 }
             }
             prev = layer;
         }
-        let t = g.add_node(());
+        let t = g.add_node();
         for &u in &prev {
-            g.add_edge(u, t, (0.0, 0.0));
+            g.add_edge(u, t, 0.0, 0.0);
         }
         (g, s, t)
     }
@@ -923,9 +729,9 @@ mod tests {
     fn matches_brute_force_on_random_layered_dags() {
         let mut rng = StdRng::seed_from_u64(77);
         for case in 0..60 {
-            let (g, s, t) = random_layered_dag(&mut rng);
+            let (mut g, s, t) = random_layered_dag(&mut rng);
             let bound = rng.random_range(5.0..20.0);
-            let got = constrained_shortest_path(&g, s, t, bound, |_, e| e.0, |_, e| e.1);
+            let got = plain(&mut g, s, t, bound);
             let want = brute_force(&g, s, t, bound);
             match (got, want) {
                 (None, None) => {}
@@ -949,21 +755,12 @@ mod tests {
     fn potentials_match_plain_search_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(4242);
         for case in 0..60 {
-            let (g, s, t) = random_layered_dag(&mut rng);
-            let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).expect("layered DAG");
+            let (mut g, s, t) = random_layered_dag(&mut rng);
+            let pot = potentials(&mut g, t);
             for bound in [3.0, 8.0, 14.0, f64::INFINITY] {
-                let plain = constrained_shortest_path(&g, s, t, bound, |_, e| e.0, |_, e| e.1);
-                let run = constrained_shortest_path_with_bounds(
-                    &g,
-                    s,
-                    t,
-                    bound,
-                    |_, e| e.0,
-                    |_, e| e.1,
-                    &pot.min_weight_to,
-                    &pot.min_resource_to,
-                );
-                match (&plain, &run.solution) {
+                let p = plain(&mut g, s, t, bound);
+                let run = guided(&mut g, s, t, bound, &pot);
+                match (&p, &run.solution) {
                     (None, None) => {}
                     (Some(p), Some(q)) => {
                         assert_eq!(
@@ -988,45 +785,27 @@ mod tests {
     /// target can realize them, and they lower-bound every path.
     #[test]
     fn potentials_are_admissible_minima() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let t = g.add_node(());
-        g.add_edge(s, a, (1.0, 5.0));
-        g.add_edge(a, t, (1.0, 5.0));
-        g.add_edge(s, b, (3.0, 1.0));
-        g.add_edge(b, t, (3.0, 1.0));
-        let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).unwrap();
-        assert_eq!(pot.min_weight_to[s.0 as usize], 2.0);
-        assert_eq!(pot.min_resource_to[s.0 as usize], 2.0);
-        assert_eq!(pot.min_weight_to[a.0 as usize], 1.0);
-        assert_eq!(pot.min_resource_to[b.0 as usize], 1.0);
-        assert_eq!(pot.min_weight_to[t.0 as usize], 0.0);
+        let (mut g, s, t) = diamond();
+        let pot = potentials(&mut g, t);
+        let (a, b) = (1, 2);
+        assert_eq!(pot.min_weight_to[s as usize], 2.0);
+        assert_eq!(pot.min_resource_to[s as usize], 2.0);
+        assert_eq!(pot.min_weight_to[a], 1.0);
+        assert_eq!(pot.min_resource_to[b], 1.0);
+        assert_eq!(pot.min_weight_to[t as usize], 0.0);
     }
 
     /// A node that cannot reach the target carries infinite potentials
     /// and its labels are pruned instead of expanded.
     #[test]
     fn unreachable_branches_are_pruned() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let dead = g.add_node(());
-        let t = g.add_node(());
-        g.add_edge(s, dead, (0.1, 0.1)); // dead end
-        g.add_edge(s, t, (1.0, 1.0));
-        let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).unwrap();
-        assert!(pot.min_weight_to[dead.0 as usize].is_infinite());
-        let run = constrained_shortest_path_with_bounds(
-            &g,
-            s,
-            t,
-            10.0,
-            |_, e| e.0,
-            |_, e| e.1,
-            &pot.min_weight_to,
-            &pot.min_resource_to,
-        );
+        let mut g = TestGraph::default();
+        let [s, dead, t] = [g.add_node(), g.add_node(), g.add_node()];
+        g.add_edge(s, dead, 0.1, 0.1); // dead end
+        g.add_edge(s, t, 1.0, 1.0);
+        let pot = potentials(&mut g, t);
+        assert!(pot.min_weight_to[dead as usize].is_infinite());
+        let run = guided(&mut g, s, t, 10.0, &pot);
         assert_eq!(run.solution.unwrap().weight, 1.0);
         assert!(run.stats.pruned_bound >= 1, "dead branch must be pruned");
     }
@@ -1036,18 +815,9 @@ mod tests {
     #[test]
     fn pruning_reduces_search_effort() {
         let mut rng = StdRng::seed_from_u64(99);
-        let (g, s, t) = random_layered_dag(&mut rng);
-        let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).unwrap();
-        let run = constrained_shortest_path_with_bounds(
-            &g,
-            s,
-            t,
-            9.0,
-            |_, e| e.0,
-            |_, e| e.1,
-            &pot.min_weight_to,
-            &pot.min_resource_to,
-        );
+        let (mut g, s, t) = random_layered_dag(&mut rng);
+        let pot = potentials(&mut g, t);
+        let run = guided(&mut g, s, t, 9.0, &pot);
         assert!(run.solution.is_some());
         assert!(
             run.stats.pruned_total() > 0,
@@ -1057,40 +827,21 @@ mod tests {
         // With the bound loose, the incumbent from the feasible greedy
         // min-weight path caps pushes at the true optimum's priority and
         // the answer is exactly that optimum.
-        let loose = constrained_shortest_path_with_bounds(
-            &g,
-            s,
-            t,
-            f64::INFINITY,
-            |_, e| e.0,
-            |_, e| e.1,
-            &pot.min_weight_to,
-            &pot.min_resource_to,
-        );
+        let loose = guided(&mut g, s, t, f64::INFINITY, &pot);
         // (Approximate: the forward path sum and the backward DP sum
         // accumulate in different orders.)
         let lsol = loose.solution.unwrap();
-        assert!((lsol.weight - pot.min_weight_to[s.0 as usize]).abs() < 1e-9);
+        assert!((lsol.weight - pot.min_weight_to[s as usize]).abs() < 1e-9);
     }
 
     /// Infeasibility is detected from the source potential alone.
     #[test]
     fn potentials_detect_infeasibility_immediately() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let t = g.add_node(());
-        g.add_edge(s, t, (1.0, 100.0));
-        let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).unwrap();
-        let run = constrained_shortest_path_with_bounds(
-            &g,
-            s,
-            t,
-            50.0,
-            |_, e| e.0,
-            |_, e| e.1,
-            &pot.min_weight_to,
-            &pot.min_resource_to,
-        );
+        let mut g = TestGraph::default();
+        let (s, t) = (g.add_node(), g.add_node());
+        g.add_edge(s, t, 1.0, 100.0);
+        let pot = potentials(&mut g, t);
+        let run = guided(&mut g, s, t, 50.0, &pot);
         assert!(run.solution.is_none());
         assert_eq!(run.stats.labels_created, 0, "no search needed");
     }
@@ -1098,16 +849,15 @@ mod tests {
     #[test]
     fn solution_edges_are_contiguous() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
-        let s = g.add_node(());
-        let mid: Vec<NodeId> = (0..5).map(|_| g.add_node(())).collect();
-        let t = g.add_node(());
+        let mut g = TestGraph::default();
+        let s = g.add_node();
+        let mid: Vec<u32> = (0..5).map(|_| g.add_node()).collect();
+        let t = g.add_node();
         for &m in &mid {
-            g.add_edge(s, m, (rng.random_range(0.0..3.0), rng.random_range(0.0..3.0)));
-            g.add_edge(m, t, (rng.random_range(0.0..3.0), rng.random_range(0.0..3.0)));
+            g.add_edge(s, m, rng.random_range(0.0..3.0), rng.random_range(0.0..3.0));
+            g.add_edge(m, t, rng.random_range(0.0..3.0), rng.random_range(0.0..3.0));
         }
-        let sol =
-            constrained_shortest_path(&g, s, t, 100.0, |_, e| e.0, |_, e| e.1).unwrap();
+        let sol = plain(&mut g, s, t, 100.0).unwrap();
         assert_eq!(sol.edges.len(), 2);
         assert_eq!(g.endpoints(sol.edges[0]).0, s);
         assert_eq!(g.endpoints(sol.edges[0]).1, g.endpoints(sol.edges[1]).0);

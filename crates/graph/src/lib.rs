@@ -3,31 +3,35 @@
 //! Graph algorithms backing the Astra planner (paper Sec. IV).
 //!
 //! The paper maps its configuration problem onto a layered DAG (Fig. 5) and
-//! solves it with shortest-path machinery (Algorithm 1 cites Dijkstra and a
-//! k-shortest-paths reference). This crate supplies that machinery in a
-//! problem-agnostic form:
+//! solves it with shortest-path machinery (Algorithm 1 cites Dijkstra).
+//! This crate supplies that machinery in a problem-agnostic form, generic
+//! over [`EdgeExpand`] — an out-edge view of a two-metric DAG whose
+//! production implementation is the planner's flat CSR edge store:
 //!
-//! * [`DiGraph`] — an arena-allocated directed graph with typed node and
-//!   edge payloads;
-//! * [`dijkstra`] — single-source shortest paths with closure-supplied
-//!   non-negative weights and optional edge masking;
-//! * [`yen`] — Yen's algorithm for the k shortest *simple* paths;
-//! * [`csp`] — exact resource-constrained shortest path via Pareto-label
-//!   search (used both as a correct solver and as the oracle the tests
-//!   check Algorithm 1 against);
-//! * [`dot`] — Graphviz export for debugging the planner DAG.
+//! * [`csp`] — the [`EdgeExpand`] trait, the backward-potentials DP, and
+//!   exact resource-constrained shortest path via Pareto-label search
+//!   (potential-guided, plus the unguided reference it is checked
+//!   against);
+//! * [`dijkstra`] — masked, potential-guided Dijkstra (zero bounds give
+//!   plain Dijkstra);
+//! * [`alg1`] — the paper's Algorithm 1 on top of it: Dijkstra on the
+//!   objective, then remove the edge where the constraint first trips
+//!   and retry.
 
+pub mod alg1;
 pub mod csp;
 pub mod dijkstra;
-pub mod dot;
-pub mod graph;
-pub mod yen;
+#[cfg(test)]
+mod test_graph;
 
+pub use alg1::{algorithm1, Alg1Solution};
 pub use csp::{
-    constrained_shortest_path, constrained_shortest_path_with_bounds,
-    constrained_shortest_path_with_bounds_on, dag_potentials, dag_potentials_on, CspRun,
-    CspSolution, CspStats, EdgeExpand, Potentials,
+    constrained_shortest_path, constrained_shortest_path_with_bounds, dag_potentials,
+    dag_potentials_resume, CspRun, CspSolution, CspStats, EdgeExpand, Potentials,
 };
-pub use dijkstra::{shortest_path, shortest_path_guided, ShortestPath};
-pub use graph::{DiGraph, EdgeId, NodeId};
-pub use yen::KShortestPaths;
+pub use dijkstra::{shortest_path, ShortestPath};
+
+/// Index of an edge in an [`EdgeExpand`] store (the planner store uses
+/// its CSR slot index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct EdgeId(pub u32);

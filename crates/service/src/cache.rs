@@ -183,7 +183,7 @@ impl SessionKey {
         f.u64(match strategy {
             Strategy::Algorithm1 => 0,
             Strategy::ExactCsp => 1,
-            Strategy::PathEnumeration => 2,
+            // Codes are fixed so fingerprints stay stable; 2 is unused.
             Strategy::Exhaustive => 3,
         });
         f.bool(prune.pareto_tiers);

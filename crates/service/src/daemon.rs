@@ -807,6 +807,12 @@ impl ServiceHandle {
         self.inner.jobs_sorted()
     }
 
+    /// How many job records exist (one per issued id), without copying
+    /// them.
+    pub fn job_count(&self) -> usize {
+        self.inner.table.lock().unwrap().jobs.len()
+    }
+
     /// Session-cache statistics (hits / patched / misses / evictions /
     /// residency).
     pub fn cache_stats(&self) -> SessionCacheStats {

@@ -448,7 +448,7 @@ fn handle_line(handle: &ServiceHandle, telemetry: &Telemetry, line: &[u8]) -> Va
             obj.insert(
                 "stats".to_string(),
                 json!({
-                    "jobs": handle.jobs().len() as u64,
+                    "jobs": handle.job_count() as u64,
                     "queue_len": handle.queue_len() as u64,
                     "in_flight": handle.in_flight() as u64,
                 }),

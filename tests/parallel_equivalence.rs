@@ -1,7 +1,8 @@
 //! Parallel/serial equivalence: the rayon-parallel planner hot paths must
 //! be *bit-identical* to their single-threaded references — same DAG
-//! (node order, edge order, every metric), same exhaustive-sweep winner,
-//! and the same plan at any thread count. This is what makes the
+//! store on a 1-thread pool as on 2 and 8 threads (node order, slot
+//! order, every metric), same exhaustive-sweep winner, and the same plan
+//! at any thread count. This is what makes the
 //! parallelism a pure wall-clock optimization rather than a semantics
 //! change.
 
@@ -39,29 +40,12 @@ fn reduced_space(job: &JobSpec, platform: &Platform) -> ConfigSpace {
     ConfigSpace::with_tiers(job, platform, &picks)
 }
 
-/// Assert two planner DAGs are bit-identical: same node choices in id
-/// order, same edge endpoints and metrics in id order.
+/// Assert two planner DAGs are bit-identical: same node choices and
+/// the same edge store, array by array (`SoaEdges` equality is bit
+/// identity).
 fn assert_dags_identical(a: &PlannerDag, b: &PlannerDag, context: &str) {
-    let (ga, gb) = (a.graph(), b.graph());
-    assert_eq!(ga.node_count(), gb.node_count(), "node count ({context})");
-    assert_eq!(ga.edge_count(), gb.edge_count(), "edge count ({context})");
-    assert_eq!(a.source(), b.source(), "source id ({context})");
-    assert_eq!(a.sink(), b.sink(), "sink id ({context})");
-    for id in ga.node_ids() {
-        assert_eq!(ga.node(id), gb.node(id), "node {id:?} ({context})");
-    }
-    for id in ga.edge_ids() {
-        assert_eq!(ga.endpoints(id), gb.endpoints(id), "endpoints {id:?} ({context})");
-        let (ea, eb) = (ga.edge(id), gb.edge(id));
-        assert_eq!(
-            ea.time_s.to_bits(),
-            eb.time_s.to_bits(),
-            "edge {id:?} time {} vs {} ({context})",
-            ea.time_s,
-            eb.time_s
-        );
-        assert_eq!(ea.cost_nanos, eb.cost_nanos, "edge {id:?} cost ({context})");
-    }
+    assert!(a.choices() == b.choices(), "choices ({context})");
+    assert!(a.graph() == b.graph(), "edge store ({context})");
 }
 
 /// Install a global thread-count override. The shim accepts repeated
@@ -71,14 +55,16 @@ fn pin_threads(n: usize) {
     let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
 }
 
+/// The serial build is the parallel build on a one-thread pool.
 #[test]
 fn parallel_dag_build_is_bit_identical_to_serial() {
     let catalog = PriceCatalog::aws_2020();
     for (jname, job) in jobs() {
         for (pname, platform) in platforms() {
             let space = reduced_space(&job, &platform);
-            let serial = PlannerDag::build_serial(&job, &platform, &catalog, &space);
-            for threads in [1, 2, 8] {
+            pin_threads(1);
+            let serial = PlannerDag::build(&job, &platform, &catalog, &space);
+            for threads in [2, 8] {
                 pin_threads(threads);
                 let parallel = PlannerDag::build(&job, &platform, &catalog, &space);
                 assert_dags_identical(
@@ -99,9 +85,17 @@ fn full_space_dag_build_is_bit_identical() {
     let catalog = PriceCatalog::aws_2020();
     let space = ConfigSpace::full(&job, &platform);
     assert_eq!(space.memory_tiers_mb.len(), 46, "paper tier count");
-    let serial = PlannerDag::build_serial(&job, &platform, &catalog, &space);
-    let parallel = PlannerDag::build(&job, &platform, &catalog, &space);
-    assert_dags_identical(&serial, &parallel, "wordcount-1gb/full-space");
+    pin_threads(1);
+    let serial = PlannerDag::build(&job, &platform, &catalog, &space);
+    for threads in [2, 8] {
+        pin_threads(threads);
+        let parallel = PlannerDag::build(&job, &platform, &catalog, &space);
+        assert_dags_identical(
+            &serial,
+            &parallel,
+            &format!("wordcount-1gb/full-space/threads={threads}"),
+        );
+    }
 }
 
 /// The same three profiles on small jobs, for the exhaustive sweep

@@ -15,7 +15,7 @@
 //!   (fresh arena) or reuses a prior case's recycled scratch — in any
 //!   case order, at any `RAYON_NUM_THREADS`.
 
-use astra::core::solver::{solve_on_dag, solve_on_dag_with_potentials};
+use astra::core::solver::{solve_on_dag, solve_reference_csp};
 use astra::core::{
     ConfigSpace, Objective, PlannerDag, PlannerPotentials, PruneConfig,
     Strategy as SolverStrategy,
@@ -57,9 +57,9 @@ fn assert_collapsed_equivalence(job: &JobSpec, platform: &Platform, space: &Conf
     let potentials = PlannerPotentials::compute(&pruned);
     let tel = astra::telemetry::Telemetry::disabled();
 
-    let cheapest = solve_on_dag(&full, Objective::cheapest(), SolverStrategy::ExactCsp)
+    let cheapest = solve_reference_csp(&full, Objective::cheapest())
         .expect("production job must be feasible");
-    let fastest = solve_on_dag(&full, Objective::fastest(), SolverStrategy::ExactCsp).unwrap();
+    let fastest = solve_reference_csp(&full, Objective::fastest()).unwrap();
     let ev = |c: &JobConfig| {
         let e = astra::model::evaluate(job, platform, c, &catalog).unwrap();
         (e.jct_s(), e.total_cost())
@@ -78,14 +78,14 @@ fn assert_collapsed_equivalence(job: &JobSpec, platform: &Platform, space: &Conf
         });
     }
     for objective in objectives {
-        let fast = solve_on_dag_with_potentials(
+        let fast = solve_on_dag(
             &pruned,
             &potentials,
             objective,
             SolverStrategy::ExactCsp,
             &tel,
         );
-        let plain = solve_on_dag(&full, objective, SolverStrategy::ExactCsp);
+        let plain = solve_reference_csp(&full, objective);
         assert_eq!(fast, plain, "collapsed build diverged at {objective}");
     }
 }
@@ -106,7 +106,7 @@ fn n1e4_collapsed_slice_matches_unpruned() {
         "dominance pruning must fire at production N"
     );
     assert!(
-        pruned.soa().bundles_collapsed() > 0,
+        pruned.graph().bundles_collapsed() > 0,
         "the bundled space must actually collapse k_M classes at N=10^4"
     );
     assert_collapsed_equivalence(&job, &platform, &space);
@@ -131,7 +131,7 @@ fn n1e5_collapsed_planning_within_budget() {
     let pruned = PlannerDag::build_with(&job, &platform, &catalog, &space, PruneConfig::on());
     let potentials = PlannerPotentials::compute(&pruned);
     let tel = astra::telemetry::Telemetry::disabled();
-    let cheapest = solve_on_dag_with_potentials(
+    let cheapest = solve_on_dag(
         &pruned,
         &potentials,
         Objective::cheapest(),
@@ -148,14 +148,14 @@ fn n1e5_collapsed_planning_within_budget() {
     // Equivalence against the unpruned build on the same space.
     let full = PlannerDag::build_with(&job, &platform, &catalog, &space, PruneConfig::off());
     for objective in [Objective::cheapest(), Objective::fastest()] {
-        let fast = solve_on_dag_with_potentials(
+        let fast = solve_on_dag(
             &pruned,
             &potentials,
             objective,
             SolverStrategy::ExactCsp,
             &tel,
         );
-        let plain = solve_on_dag(&full, objective, SolverStrategy::ExactCsp);
+        let plain = solve_reference_csp(&full, objective);
         assert_eq!(fast, plain, "diverged at {objective}");
     }
     let e = astra::model::evaluate(&job, &platform, &cheapest, &catalog).unwrap();

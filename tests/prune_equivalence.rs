@@ -9,7 +9,7 @@
 //! fails the suite. CI runs the N=50 full-space smoke test on every
 //! push (`prune_smoke`), the property tests cover randomized jobs.
 
-use astra::core::solver::{solve_exhaustive, solve_on_dag, solve_on_dag_with_potentials};
+use astra::core::solver::{solve_exhaustive, solve_on_dag, solve_reference_csp};
 use astra::core::{
     ConfigSpace, Objective, PlannerDag, PlannerPotentials, PruneConfig,
     Strategy as SolverStrategy,
@@ -92,7 +92,7 @@ impl Solvers {
     }
 
     fn accelerated(&self, objective: Objective) -> Option<JobConfig> {
-        solve_on_dag_with_potentials(
+        solve_on_dag(
             &self.pruned_dag,
             &self.potentials,
             objective,
@@ -102,7 +102,7 @@ impl Solvers {
     }
 
     fn plain_csp(&self, objective: Objective) -> Option<JobConfig> {
-        solve_on_dag(&self.full_dag, objective, SolverStrategy::ExactCsp)
+        solve_reference_csp(&self.full_dag, objective)
     }
 
     fn exhaustive(&self, objective: Objective) -> Option<JobConfig> {
@@ -218,8 +218,8 @@ fn n50_full_space_smoke() {
     let potentials = PlannerPotentials::compute(&pruned);
     let tel = astra::telemetry::Telemetry::disabled();
 
-    let cheapest = solve_on_dag(&full, Objective::cheapest(), SolverStrategy::ExactCsp).unwrap();
-    let fastest = solve_on_dag(&full, Objective::fastest(), SolverStrategy::ExactCsp).unwrap();
+    let cheapest = solve_reference_csp(&full, Objective::cheapest()).unwrap();
+    let fastest = solve_reference_csp(&full, Objective::fastest()).unwrap();
     let ev = |c: &JobConfig| {
         let e = astra::model::evaluate(&job, &platform, c, &catalog).unwrap();
         (e.jct_s(), e.total_cost())
@@ -236,14 +236,14 @@ fn n50_full_space_smoke() {
             },
             Objective::MinimizeCost { deadline_s },
         ] {
-            let fast = solve_on_dag_with_potentials(
+            let fast = solve_on_dag(
                 &pruned,
                 &potentials,
                 objective,
                 SolverStrategy::ExactCsp,
                 &tel,
             );
-            let plain = solve_on_dag(&full, objective, SolverStrategy::ExactCsp);
+            let plain = solve_reference_csp(&full, objective);
             assert_eq!(fast, plain, "diverged at {objective}");
         }
     }

@@ -112,16 +112,10 @@ fn assert_sessions_agree(warm: &PlannerSession, cold: &PlannerSession, ctx: &str
     for (i, (a, b)) in wp.min_cost_to().iter().zip(cp.min_cost_to()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: min_cost_to[{i}]");
     }
-    // Edge metrics must be bit-identical too (patched arena vs cold).
-    let (wg, cg) = (warm.dag().graph(), cold.dag().graph());
-    assert_eq!(wg.node_count(), cg.node_count(), "{ctx}: nodes");
-    assert_eq!(wg.edge_count(), cg.edge_count(), "{ctx}: edges");
-    for eid in wg.edge_ids() {
-        let (a, b) = (wg.edge(eid), cg.edge(eid));
-        assert_eq!(a.time_s.to_bits(), b.time_s.to_bits(), "{ctx}: edge {eid:?} time");
-        assert_eq!(a.cost_nanos, b.cost_nanos, "{ctx}: edge {eid:?} cost");
-        assert_eq!(wg.endpoints(eid), cg.endpoints(eid), "{ctx}: edge {eid:?} ends");
-    }
+    // The DAG must be bit-identical too (patched vs cold): choices and
+    // every store array (`SoaEdges` equality is bit identity).
+    assert!(warm.dag().choices() == cold.dag().choices(), "{ctx}: choices");
+    assert!(warm.dag().graph() == cold.dag().graph(), "{ctx}: edge store");
 
     let fastest = Objective::fastest();
     let cheapest = Objective::cheapest();

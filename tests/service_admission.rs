@@ -169,5 +169,9 @@ fn service_rejects_oversized_claims_and_completes_the_rest() {
             assert_eq!(snap.status, JobStatus::Done, "admissible job {id} starved");
         }
     }
+    // A worker releases a job's claim just after publishing its terminal
+    // snapshot; shutting down joins the workers, so every release has
+    // happened by the time the claims are counted.
+    daemon.shutdown();
     assert_eq!(handle.in_flight(), 0, "claims leaked after drain");
 }

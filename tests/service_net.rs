@@ -140,6 +140,24 @@ fn shutdown_drains_every_job_accepted_over_tcp() {
     }
 }
 
+#[test]
+fn stats_counts_every_issued_job() {
+    let (daemon, server, addr) = start_server(
+        quiet_config(),
+        NetConfig::default(),
+        Telemetry::disabled(),
+    );
+    let mut client = NetClient::connect(&addr).unwrap();
+    let ids: Vec<JobId> = mixed_requests(5)
+        .iter()
+        .map(|r| client.submit_id(r).unwrap())
+        .collect();
+    let stats = client.stats().unwrap();
+    assert_eq!(stats["stats"]["jobs"], Value::from(ids.len() as u64));
+    server.shutdown();
+    daemon.shutdown();
+}
+
 // --------------------------------------------------------------- framing
 
 #[test]
